@@ -6,7 +6,6 @@ from .hypergraph import (
     complete_hypergraph,
     components,
     delete_vertices,
-    enumerate_hypergraphs,
     from_edge_lists,
     from_masks,
     is_connected,
@@ -16,10 +15,12 @@ from .hypergraph import (
     serialize_hypergraph,
 )
 from .search import (
+    Analysis,
     BergeCycle,
     BergePath,
     PathQuery,
     SearchError,
+    analyze,
     find_berge_cycle,
     longest_berge_path,
     longest_path_length,

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .hypergraph import Hypergraph, bits, is_connected, mask_of, neighborhood
+from .hypergraph import Hypergraph, bits, mask_of, neighborhood
 from .search import (
+    Analysis,
     BergePath,
     SearchError,
+    analyze,
     find_berge_cycle,
     iter_longest_paths,
-    longest_path_length_cached,
-    max_p_edge_mask,
     validate_path,
 )
 from .weights import _f_any
@@ -44,19 +44,20 @@ class GoodSetCertificate:
     k: int
     NS: tuple[int, ...]
     bound: Fraction
-    all_p_equal_k: bool
 
     @property
     def size(self) -> int:
         return self.S.bit_count()
 
 
-def is_good_set(hg: Hypergraph, vertex_set: int) -> GoodSetCertificate | None:
+def is_good_set(hg: Hypergraph | Analysis, vertex_set: int) -> GoodSetCertificate | None:
     """Certificate if ``vertex_set`` is good in ``hg``, else None.
 
     Requires r >= 3 and at least one edge (so the longest-path length k
     is at least 1). The empty set is rejected outright.
     """
+    a = analyze(hg)
+    hg = a.hg
     if hg.r < 3:
         raise GoodSetError(f"good sets need r >= 3, got r={hg.r}")
     if hg.num_edges == 0:
@@ -65,13 +66,12 @@ def is_good_set(hg: Hypergraph, vertex_set: int) -> GoodSetCertificate | None:
         raise GoodSetError("the empty set is never good")
     if vertex_set & ~hg.vertex_mask:
         raise GoodSetError("vertex set contains ids >= n")
-    k = longest_path_length_cached(hg)
-    max_p = max_p_edge_mask(hg)
+    k = a.k
     ns = 0
     for i, e in enumerate(hg.edges):
         if e & vertex_set:
             ns |= 1 << i
-    if ns & ~max_p:
+    if ns & ~a.max_p_mask:
         return None
     bound = _f_any(hg.r, k) * vertex_set.bit_count()
     if ns.bit_count() > bound:
@@ -81,15 +81,16 @@ def is_good_set(hg: Hypergraph, vertex_set: int) -> GoodSetCertificate | None:
         k=k,
         NS=tuple(bits(ns)),
         bound=bound,
-        all_p_equal_k=True,
     )
 
 
-def enumerate_good_sets(hg: Hypergraph) -> Iterator[GoodSetCertificate]:
+def enumerate_good_sets(hg: Hypergraph | Analysis) -> Iterator[GoodSetCertificate]:
     """All good sets in increasing bitmask order by full subset scan.
 
     Preconditions are validated eagerly; the scan itself is lazy.
     """
+    a = analyze(hg)
+    hg = a.hg
     if hg.n > 20:
         raise GoodSetError(f"subset scan over 2^{hg.n} sets refused (n > 20)")
     if hg.r < 3:
@@ -99,7 +100,7 @@ def enumerate_good_sets(hg: Hypergraph) -> Iterator[GoodSetCertificate]:
 
     def scan() -> Iterator[GoodSetCertificate]:
         for s in range(1, 1 << hg.n):
-            cert = is_good_set(hg, s)
+            cert = is_good_set(a, s)
             if cert is not None:
                 yield cert
 
@@ -194,7 +195,7 @@ def rotation_closure(hg: Hypergraph, path: BergePath, fixed_end: int) -> Rotatio
     )
 
 
-def find_good_set(hg: Hypergraph) -> GoodSetCertificate:
+def find_good_set(hg: Hypergraph | Analysis) -> GoodSetCertificate:
     """A good set of a connected hypergraph with r >= 3 and an edge.
 
     Attempts, in order: the whole vertex set when a (k+1)-cycle exists;
@@ -203,34 +204,36 @@ def find_good_set(hg: Hypergraph) -> GoodSetCertificate:
     scan as a last resort. A single-edge hypergraph (k = 1 connected
     means n = r) short-circuits to S = the edge.
     """
+    a = analyze(hg)
+    hg = a.hg
     if hg.r < 3:
         raise GoodSetError(f"good sets need r >= 3, got r={hg.r}")
     if hg.num_edges == 0:
         raise GoodSetError("good sets are undefined on edgeless hypergraphs")
-    if not is_connected(hg):
+    if not a.connected:
         raise GoodSetError("find_good_set expects a connected hypergraph; split into components first")
 
-    k = longest_path_length_cached(hg)
+    k = a.k
     if k == 1:
-        cert = is_good_set(hg, hg.edges[0])
+        cert = is_good_set(a, hg.edges[0])
         assert cert is not None, "a lone edge is always good: |N(S)| = 1 = f_r(1) r"
         return cert
 
-    cycle = find_berge_cycle(hg, k + 1)
+    cycle = find_berge_cycle(a, k + 1)
     if cycle is not None:
-        cert = is_good_set(hg, hg.vertex_mask)
+        cert = is_good_set(a, hg.vertex_mask)
         assert cert is not None, "a spanning (k+1)-cycle forces V(H) to be good"
         return cert
 
     candidates = []
     seen = set()
-    for path in iter_longest_paths(hg):
+    for path in iter_longest_paths(a):
         family = rotation_closure(hg, path, path.vertices[0])
         tau = family.terminals
         if tau in seen:
             continue
         seen.add(tau)
-        cert = is_good_set(hg, tau)
+        cert = is_good_set(a, tau)
         if cert is not None:
             candidates.append(cert)
     if candidates:
@@ -238,7 +241,7 @@ def find_good_set(hg: Hypergraph) -> GoodSetCertificate:
 
     if hg.n > 20:
         raise GoodSetError("rotation routes failed and n > 20 blocks the subset scan")
-    for cert in enumerate_good_sets(hg):
+    for cert in enumerate_good_sets(a):
         return cert
     raise AssertionError("no good set found; contradicts the existence theorems")
 
@@ -260,17 +263,18 @@ class SpanningCycleReport:
     detail: str
 
 
-def check_spanning_cycle_property(hg: Hypergraph) -> SpanningCycleReport:
-    if not is_connected(hg):
+def check_spanning_cycle_property(hg: Hypergraph | Analysis) -> SpanningCycleReport:
+    a = analyze(hg)
+    if not a.connected:
         raise GoodSetError("spanning-cycle property applies to connected hypergraphs")
-    k = longest_path_length_cached(hg)
+    k = a.k
     if k + 1 < 2:
         return SpanningCycleReport(k, False, None, None, True, "no edges, vacuous")
-    cycle = find_berge_cycle(hg, k + 1)
+    cycle = find_berge_cycle(a, k + 1)
     if cycle is None:
         return SpanningCycleReport(k, False, None, None, True, "no (k+1)-cycle, vacuous")
-    spans = mask_of(cycle.vertices) == hg.vertex_mask
-    all_max = max_p_edge_mask(hg) == (1 << hg.num_edges) - 1
+    spans = mask_of(cycle.vertices) == a.hg.vertex_mask
+    all_max = a.max_p_mask == (1 << a.hg.num_edges) - 1
     passed = spans and all_max
     detail = "ok" if passed else (
         f"cycle {cycle.vertices} spans={spans} all_p_equal_k={all_max}"

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator
 
 MAX_VERTICES = 64
 
-# Exhaustive enumeration walks 2**C(n, r) edge subsets; refuse beyond this.
+# Caps on the C(n, r) edge slots that an exhaustive sweep or turan_exact walks
+# subsets of; the lower one is for sweeps running good-set or rotation checks.
 MAX_EDGE_SLOTS = 30
+MAX_SEARCH_EDGE_SLOTS = 20
 
 
 class HypergraphError(ValueError):
@@ -78,10 +79,6 @@ class Hypergraph:
     @property
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def edge_vertices(self, idx: int) -> tuple[int, ...]:
-        """Vertex ids of edge ``idx`` in increasing order."""
-        return tuple(bits(self.edges[idx]))
 
 
 def from_masks(n: int, r: int, masks) -> Hypergraph:
@@ -241,23 +238,3 @@ def hypergraph_from_subset(n: int, r: int, slots: tuple[int, ...], subset_mask: 
     """The hypergraph whose edges are the ``slots`` entries selected by ``subset_mask``."""
     return Hypergraph(n, r, tuple(slots[i] for i in bits(subset_mask)))
 
-
-def enumerate_hypergraphs(n: int, r: int, connected_only: bool = False) -> Iterator[Hypergraph]:
-    """Every labeled r-uniform hypergraph on n vertices, exactly once.
-
-    Subsets of the C(n, r) possible edges are emitted in increasing
-    numeric order of the subset bitmask, so the stream is deterministic
-    and may be partitioned by index range across workers. Refused when
-    C(n, r) exceeds MAX_EDGE_SLOTS.
-    """
-    slots = possible_edges(n, r)
-    if len(slots) > MAX_EDGE_SLOTS:
-        raise HypergraphError(
-            f"C({n},{r}) = {comb(n, r)} edge slots exceed exhaustive cap {MAX_EDGE_SLOTS};"
-            " use sampled sweeps instead"
-        )
-    for subset_mask in range(1 << len(slots)):
-        hg = hypergraph_from_subset(n, r, slots, subset_mask)
-        if connected_only and not is_connected(hg):
-            continue
-        yield hg

@@ -9,17 +9,23 @@ The search is depth-first backtracking over (endpoint, used-vertex mask,
 used-edge mask) states with an admissible bound: a partial path of length
 d can reach at most d + min(unused edges, unused vertices). No
 transposition table; the bound prune dominates at this scale.
+
+Per-instance values live on an :class:`Analysis`. Every function that
+reads them takes a Hypergraph or an Analysis, so a caller holding one
+passes it along and each value is computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterator
 
-from .hypergraph import Hypergraph, bits
+from .hypergraph import Hypergraph, bits, components as _components
 
 __all__ = [
+    "Analysis",
+    "analyze",
     "BergePath",
     "BergeCycle",
     "PathQuery",
@@ -27,8 +33,6 @@ __all__ = [
     "longest_berge_path",
     "longest_path_length",
     "p_edge",
-    "edge_p_values",
-    "max_p_edge_mask",
     "find_berge_cycle",
     "has_berge_cycle",
     "iter_paths_of_length",
@@ -123,17 +127,53 @@ def render_path(path: BergePath) -> str:
     return " ".join(out)
 
 
-@lru_cache(maxsize=256)
-def _adjacency(hg: Hypergraph) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """(edges incident to each vertex, vertices of each edge), both ascending."""
-    at = [[] for _ in range(hg.n)]
-    verts = []
-    for i, e in enumerate(hg.edges):
-        vs = tuple(bits(e))
-        verts.append(vs)
-        for v in vs:
-            at[v].append(i)
-    return tuple(tuple(a) for a in at), tuple(verts)
+@dataclass(frozen=True)
+class Analysis:
+    """Per-instance values of one hypergraph, each computed once, on first use."""
+
+    hg: Hypergraph
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(edges incident to each vertex, vertices of each edge), both ascending."""
+        at = [[] for _ in range(self.hg.n)]
+        verts = []
+        for i, e in enumerate(self.hg.edges):
+            vs = tuple(bits(e))
+            verts.append(vs)
+            for v in vs:
+                at[v].append(i)
+        return tuple(tuple(a) for a in at), tuple(verts)
+
+    @cached_property
+    def components(self) -> tuple[tuple[Hypergraph, dict[int, int]], ...]:
+        """Connected components with their old-to-new vertex maps."""
+        return tuple(_components(self.hg))
+
+    @cached_property
+    def connected(self) -> bool:
+        return self.hg.n <= 1 or len(self.components) == 1
+
+    @cached_property
+    def k(self) -> int:
+        """Longest Berge path length."""
+        return _max_len(self)
+
+    @cached_property
+    def p_values(self) -> tuple[int, ...]:
+        """p(e) for every edge; p never exceeds k."""
+        k = self.k
+        return tuple(_max_len(self, required_edge=i, stop_at=k) for i in range(self.hg.num_edges))
+
+    @cached_property
+    def max_p_mask(self) -> int:
+        """Bitmask over edge indices with p(e) = k."""
+        return sum(1 << i for i, p in enumerate(self.p_values) if p == self.k)
+
+
+def analyze(hg: Hypergraph | Analysis) -> Analysis:
+    """``hg`` itself when it is already an Analysis, else a fresh one for it."""
+    return hg if isinstance(hg, Analysis) else Analysis(hg)
 
 
 class _Done(Exception):
@@ -141,7 +181,7 @@ class _Done(Exception):
 
 
 def _max_len(
-    hg: Hypergraph,
+    a: Analysis,
     required_edge: int | None = None,
     required_endpoint: int | None = None,
     stop_at: int | None = None,
@@ -155,7 +195,7 @@ def _max_len(
     (used for pure existence queries). ``excluded_edges`` masks out edge
     indices entirely, letting callers search sub-hypergraphs in place.
     """
-    n, m = hg.n, hg.num_edges
+    n, m = a.hg.n, a.hg.num_edges
     if n == 0:
         return 0
     avail = m - excluded_edges.bit_count()
@@ -164,7 +204,7 @@ def _max_len(
         cap = min(cap, stop_at)
     if avail == 0 or cap <= 0:
         return 0
-    edges_at, verts_of = _adjacency(hg)
+    edges_at, verts_of = a.adjacency
     best = 0
     req = required_edge
 
@@ -200,76 +240,51 @@ def _max_len(
     return best
 
 
-@lru_cache(maxsize=256)
-def longest_path_length_cached(hg: Hypergraph) -> int:
-    return _max_len(hg)
-
-
-def longest_path_length(hg: Hypergraph, query: PathQuery | None = None) -> int:
+def longest_path_length(hg: Hypergraph | Analysis, query: PathQuery | None = None) -> int:
     """Maximum Berge path length subject to an optional query.
 
     Returns 0 when no qualifying path with at least one edge exists (a
     single vertex is a length-0 path). A path "satisfies" a required
     endpoint when either terminal equals it.
     """
+    a = analyze(hg)
     if query is None:
-        return longest_path_length_cached(hg)
-    if query.required_edge is not None and not 0 <= query.required_edge < hg.num_edges:
+        return a.k
+    if query.required_edge is not None and not 0 <= query.required_edge < a.hg.num_edges:
         raise SearchError(f"edge index {query.required_edge} out of range")
-    if query.required_endpoint is not None and not 0 <= query.required_endpoint < hg.n:
+    if query.required_endpoint is not None and not 0 <= query.required_endpoint < a.hg.n:
         raise SearchError(f"vertex {query.required_endpoint} out of range")
     return _max_len(
-        hg,
+        a,
         required_edge=query.required_edge,
         required_endpoint=query.required_endpoint,
         stop_at=query.target_length,
     )
 
 
-def p_edge(hg: Hypergraph, edge: int) -> int:
+def p_edge(hg: Hypergraph | Analysis, edge: int) -> int:
     """Maximum length of a Berge path whose defining edges include ``edge``."""
-    if not 0 <= edge < hg.num_edges:
+    a = analyze(hg)
+    if not 0 <= edge < a.hg.num_edges:
         raise SearchError(f"edge index {edge} out of range")
-    k = longest_path_length_cached(hg)
-    return _max_len(hg, required_edge=edge, stop_at=k)
+    return _max_len(a, required_edge=edge, stop_at=a.k)
 
 
-@lru_cache(maxsize=256)
-def edge_p_values(hg: Hypergraph) -> tuple[int, ...]:
-    """p(e) for every edge; p never exceeds the longest-path length."""
-    k = longest_path_length_cached(hg)
-    return tuple(_max_len(hg, required_edge=i, stop_at=k) for i in range(hg.num_edges))
-
-
-@lru_cache(maxsize=256)
-def max_p_edge_mask(hg: Hypergraph) -> int:
-    """Bitmask over edge indices with p(e) equal to the longest-path length.
-
-    Cheaper than exact p values: branches that cannot reach the longest
-    length are pruned outright.
-    """
-    k = longest_path_length_cached(hg)
-    mask = 0
-    for i in range(hg.num_edges):
-        if _max_len(hg, required_edge=i, stop_at=k, floor=k - 1) >= k:
-            mask |= 1 << i
-    return mask
-
-
-def iter_paths_of_length(hg: Hypergraph, k: int) -> Iterator[BergePath]:
+def iter_paths_of_length(hg: Hypergraph | Analysis, k: int) -> Iterator[BergePath]:
     """Every Berge path of length exactly k, in depth-first order.
 
     Both orientations of each path are produced (a reversed path is a
     distinct alternating sequence).
     """
-    n, m = hg.n, hg.num_edges
+    a = analyze(hg)
+    n, m = a.hg.n, a.hg.num_edges
     if k == 0:
         for v in range(n):
             yield BergePath((v,), ())
         return
     if n == 0 or k > min(m, n - 1):
         return
-    edges_at, verts_of = _adjacency(hg)
+    edges_at, verts_of = a.adjacency
     path_v = [0] * (k + 1)
     path_e = [0] * k
 
@@ -298,40 +313,37 @@ def iter_paths_of_length(hg: Hypergraph, k: int) -> Iterator[BergePath]:
         yield from extend(s, 1 << s, 0, 0)
 
 
-def iter_longest_paths(hg: Hypergraph) -> Iterator[BergePath]:
+def iter_longest_paths(hg: Hypergraph | Analysis) -> Iterator[BergePath]:
     """Every maximum-length Berge path."""
-    return iter_paths_of_length(hg, longest_path_length_cached(hg))
+    a = analyze(hg)
+    return iter_paths_of_length(a, a.k)
 
 
-def longest_berge_path(hg: Hypergraph) -> tuple[int, BergePath]:
+def longest_berge_path(hg: Hypergraph | Analysis) -> tuple[int, BergePath]:
     """Length of the longest Berge path plus one deterministic witness.
 
     Among maximum-length paths the lexicographically least witness is
     returned, ordered by vertex sequence then edge-index sequence.
     Raises for a hypergraph with no vertices, which has no paths at all.
     """
-    if hg.n == 0:
+    a = analyze(hg)
+    if a.hg.n == 0:
         raise SearchError("hypergraph has no vertices, hence no paths")
-    k = longest_path_length_cached(hg)
-    vs, es = min((p.vertices, p.edges) for p in iter_paths_of_length(hg, k))
+    vs, es = min((p.vertices, p.edges) for p in iter_paths_of_length(a, a.k))
     witness = BergePath(vs, es)
     if __debug__:
-        validate_path(hg, witness)
-    return k, witness
+        validate_path(a.hg, witness)
+    return a.k, witness
 
 
-def _iter_cycle_seqs(hg: Hypergraph, k: int, canonical: bool) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Berge cycle representations of length k as (vertex seq, edge seq).
-
-    With ``canonical`` the start vertex is the minimum of the cycle, so
-    each cycle appears up to 2k fewer times; without it every rotation
-    and reflection is produced.
-    """
-    n, m = hg.n, hg.num_edges
+def _iter_cycle_seqs(a: Analysis, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Berge cycles of length k as (vertex seq, edge seq), each starting at
+    its minimum vertex, in both directions and with every edge choice."""
+    n, m = a.hg.n, a.hg.num_edges
     if k < 2 or k > m or k > n:
         return
-    edges_at, verts_of = _adjacency(hg)
-    masks = hg.edges
+    edges_at, verts_of = a.adjacency
+    masks = a.hg.edges
     path_v = [0] * k
     path_e = [0] * k
 
@@ -353,7 +365,7 @@ def _iter_cycle_seqs(hg: Hypergraph, k: int, canonical: bool) -> Iterator[tuple[
             if used_e >> i & 1:
                 continue
             for u in verts_of[i]:
-                if used_v >> u & 1 or (canonical and u < v0):
+                if used_v >> u & 1 or u < v0:
                     continue
                 path_e[depth] = i
                 path_v[depth + 1] = u
@@ -364,43 +376,47 @@ def _iter_cycle_seqs(hg: Hypergraph, k: int, canonical: bool) -> Iterator[tuple[
         yield from extend(s, s, 1 << s, 0, 0)
 
 
-def has_berge_cycle(hg: Hypergraph, length: int) -> bool:
+def has_berge_cycle(hg: Hypergraph | Analysis, length: int) -> bool:
     """True when a Berge cycle of exactly ``length`` exists."""
     if length < 2:
         raise SearchError(f"cycle length {length} < 2")
-    return next(_iter_cycle_seqs(hg, length, canonical=True), None) is not None
+    return next(_iter_cycle_seqs(analyze(hg), length), None) is not None
 
 
-def find_berge_cycle(hg: Hypergraph, length: int) -> BergeCycle | None:
+def find_berge_cycle(hg: Hypergraph | Analysis, length: int) -> BergeCycle | None:
     """A Berge cycle of exactly ``length``, or None.
 
     Witness selection matches longest_berge_path: lexicographically least
     (vertex sequence, edge sequence) over all rotations and reflections.
+    That least form starts at the cycle's minimum vertex, so the minimum
+    over the sequences starting there is the same witness.
     """
     if length < 2:
         raise SearchError(f"cycle length {length} < 2")
-    if not has_berge_cycle(hg, length):
+    a = analyze(hg)
+    best = min(_iter_cycle_seqs(a, length), default=None)
+    if best is None:
         return None
-    vs, es = min(_iter_cycle_seqs(hg, length, canonical=False))
-    cycle = BergeCycle(vs, es)
+    cycle = BergeCycle(*best)
     if __debug__:
-        validate_cycle(hg, cycle)
+        validate_cycle(a.hg, cycle)
     return cycle
 
 
-def has_path_with_endpoints(hg: Hypergraph, u: int, w: int, length: int) -> bool:
+def has_path_with_endpoints(hg: Hypergraph | Analysis, u: int, w: int, length: int) -> bool:
     """True when a Berge path of exactly ``length`` has terminals u and w."""
+    a = analyze(hg)
     for v in (u, w):
-        if not 0 <= v < hg.n:
+        if not 0 <= v < a.hg.n:
             raise SearchError(f"vertex {v} out of range")
     if u == w:
         return length == 0
     if length == 0:
         return False
-    n, m = hg.n, hg.num_edges
+    n, m = a.hg.n, a.hg.num_edges
     if length > min(m, n - 1):
         return False
-    edges_at, verts_of = _adjacency(hg)
+    edges_at, verts_of = a.adjacency
 
     def extend(v: int, used_v: int, used_e: int, depth: int) -> bool:
         if depth == length:

@@ -15,25 +15,25 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 
 from .goodsets import check_spanning_cycle_property, enumerate_good_sets, rotation_closure
 from .hypergraph import (
-    Hypergraph,
+    MAX_EDGE_SLOTS,
+    MAX_SEARCH_EDGE_SLOTS,
     hypergraph_from_subset,
-    is_connected,
     possible_edges,
     serialize_hypergraph,
 )
 from .search import (
+    Analysis,
     PathQuery,
+    analyze,
     has_path_with_endpoints,
     iter_longest_paths,
     longest_path_length,
-    longest_path_length_cached,
 )
 from .weights import NOT_EXTREMAL, classify_structure, format_fraction, weight_report
 
@@ -77,7 +77,8 @@ def validate_config(cfg: SweepConfig) -> None:
         raise SweepConfigError(f"bad check list {cfg.checks!r}")
     slots = comb(cfg.n, cfg.r)
     if cfg.mode == "exhaustive":
-        cap = 20 if {"good_set_existence", "rotation_bound"} & set(cfg.checks) else 30
+        search_heavy = {"good_set_existence", "rotation_bound"} & set(cfg.checks)
+        cap = MAX_SEARCH_EDGE_SLOTS if search_heavy else MAX_EDGE_SLOTS
         if slots > cap:
             raise SweepConfigError(
                 f"exhaustive sweep over C({cfg.n},{cfg.r}) = {slots} edge slots exceeds cap {cap}"
@@ -104,7 +105,6 @@ class SweepReport:
     instances: int
     violations: list[Violation]
     census: dict[str, int]
-    elapsed_ms: int = 0
 
 
 def sample_mask(seed: int, index: int, bits: int) -> int:
@@ -120,14 +120,15 @@ def sample_mask(seed: int, index: int, bits: int) -> int:
     return out & ((1 << bits) - 1)
 
 
-def _check_instance(hg: Hypergraph, checks: frozenset[str]) -> tuple[str, list[tuple[str, str]]]:
+def _check_instance(a: Analysis, checks: frozenset[str]) -> tuple[str, list[tuple[str, str]]]:
     """Classification label plus (check, detail) pairs for failed checks."""
-    cls = classify_structure(hg)
+    hg = a.hg
+    cls = classify_structure(a)
     failures: list[tuple[str, str]] = []
-    connected = is_connected(hg)
+    connected = a.connected
 
     if "inequality" in checks or "equality_classifier" in checks:
-        rep = weight_report(hg)
+        rep = weight_report(a)
         if "inequality" in checks and rep.total > hg.n:
             failures.append(
                 ("inequality", f"weight sum {format_fraction(rep.total)} exceeds n={hg.n}")
@@ -142,11 +143,11 @@ def _check_instance(hg: Hypergraph, checks: frozenset[str]) -> tuple[str, list[t
             )
 
     if "good_set_existence" in checks and connected and hg.num_edges:
-        first = next(enumerate_good_sets(hg), None)
+        first = next(enumerate_good_sets(a), None)
         if first is None:
             failures.append(("good_set_existence", "no good set exists"))
         else:
-            k = longest_path_length_cached(hg)
+            k = a.k
             if k > hg.r and first.S == hg.vertex_mask and hg.n != k + 1:
                 failures.append(
                     (
@@ -156,7 +157,7 @@ def _check_instance(hg: Hypergraph, checks: frozenset[str]) -> tuple[str, list[t
                 )
 
     if "rotation_bound" in checks:
-        for path in iter_longest_paths(hg):
+        for path in iter_longest_paths(a):
             fam = rotation_closure(hg, path, path.vertices[0])
             if fam.bound_lhs > fam.bound_rhs:
                 failures.append(
@@ -169,7 +170,7 @@ def _check_instance(hg: Hypergraph, checks: frozenset[str]) -> tuple[str, list[t
                 break
 
     if "spanning_cycle" in checks and connected:
-        rep = check_spanning_cycle_property(hg)
+        rep = check_spanning_cycle_property(a)
         if not rep.passed:
             failures.append(("spanning_cycle", rep.detail))
 
@@ -177,7 +178,7 @@ def _check_instance(hg: Hypergraph, checks: frozenset[str]) -> tuple[str, list[t
         m = hg.num_edges
         for v in range(hg.n):
             expected = True if m >= 2 else bool(hg.edges[0] >> v & 1)
-            got = longest_path_length(hg, PathQuery(required_endpoint=v, target_length=m)) >= m
+            got = longest_path_length(a, PathQuery(required_endpoint=v, target_length=m)) >= m
             if got != expected:
                 failures.append(
                     (
@@ -200,14 +201,14 @@ def _run_block(cfg: SweepConfig, start: int, end: int):
             subset = index
         else:
             subset = sample_mask(cfg.seed, index, len(slots))
-        hg = hypergraph_from_subset(cfg.n, cfg.r, slots, subset)
-        if cfg.connected_only and not is_connected(hg):
+        a = analyze(hypergraph_from_subset(cfg.n, cfg.r, slots, subset))
+        if cfg.connected_only and not a.connected:
             continue
         checked += 1
-        cls, failures = _check_instance(hg, checks)
+        cls, failures = _check_instance(a, checks)
         census[cls] += 1
         if failures:
-            text = serialize_hypergraph(hg)
+            text = serialize_hypergraph(a.hg)
             violations.extend(Violation(text, check, detail) for check, detail in failures)
     return checked, census, violations
 
@@ -220,7 +221,6 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     any worker count produces the same report.
     """
     validate_config(cfg)
-    started = time.monotonic()
     slots = possible_edges(cfg.n, cfg.r)
     total = (1 << len(slots)) if cfg.mode == "exhaustive" else cfg.sample_count
     if workers <= 1 or total < 2 * workers:
@@ -232,8 +232,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_block, [cfg] * len(starts), starts, ends))
     instances, census, violations = merge_block_results(parts)
-    elapsed_ms = int((time.monotonic() - started) * 1000)
-    return SweepReport(cfg, instances, violations, census, elapsed_ms)
+    return SweepReport(cfg, instances, violations, census)
 
 
 def merge_block_results(parts) -> tuple[int, dict[str, int], list[Violation]]:
@@ -248,8 +247,8 @@ def merge_block_results(parts) -> tuple[int, dict[str, int], list[Violation]]:
 
 
 def report_to_dict(report: SweepReport) -> dict:
-    """The stable JSON schema. elapsed_ms is pinned to 0 in serialized
-    reports so identical configs give byte-identical files."""
+    """The stable JSON schema. elapsed_ms is always 0, so identical
+    configs give byte-identical files; wall time is not part of a report."""
     cfg = report.config
     config: dict = {
         "n": cfg.n,

@@ -22,11 +22,10 @@ from .hypergraph import (
     MAX_EDGE_SLOTS,
     Hypergraph,
     HypergraphError,
-    bits,
-    components,
+    hypergraph_from_subset,
     possible_edges,
 )
-from .search import _max_len, edge_p_values, longest_path_length_cached
+from .search import Analysis, _max_len, analyze
 
 CASE_I = "case_i"
 CASE_II = "case_ii"
@@ -97,7 +96,7 @@ def _component_matches(n_c: int, m_c: int, r: int) -> str | None:
     return None
 
 
-def classify_structure(hg: Hypergraph) -> str:
+def classify_structure(hg: Hypergraph | Analysis) -> str:
     """Structural classification by the per-component equality truth table.
 
     Independent of the exact weight sum; the sweeps verify the two agree.
@@ -105,11 +104,12 @@ def classify_structure(hg: Hypergraph) -> str:
     (r+1)-vertex kind, case_ii when all components are complete with
     vertex count != r+1.
     """
-    if hg.r == 2:
+    a = analyze(hg)
+    if a.hg.r == 2:
         return OUT_OF_SCOPE_R2
     kinds = []
-    for comp, _ in components(hg):
-        kind = _component_matches(comp.n, comp.num_edges, hg.r)
+    for comp, _ in a.components:
+        kind = _component_matches(comp.n, comp.num_edges, a.hg.r)
         if kind is None:
             return NOT_EXTREMAL
         kinds.append(kind)
@@ -118,17 +118,17 @@ def classify_structure(hg: Hypergraph) -> str:
     return CASE_I if CASE_I in kinds else CASE_II
 
 
-def weight_report(hg: Hypergraph) -> WeightReport:
+def weight_report(hg: Hypergraph | Analysis) -> WeightReport:
     """Per-edge weights, the exact reciprocal sum, and the equality class.
 
     For r = 2 the sum is still computed (the branches degenerate to
     f(x) = x/2) but classification reports out_of_scope_r2.
     """
-    k = longest_path_length_cached(hg)
-    pvals = edge_p_values(hg)
+    a = analyze(hg)
+    hg = a.hg
     per_edge = []
     total = Fraction(0)
-    for i, p in enumerate(pvals):
+    for i, p in enumerate(a.p_values):
         f = _f_any(hg.r, p)
         inv = 1 / f
         per_edge.append(EdgeWeight(i, p, f, inv))
@@ -138,8 +138,8 @@ def weight_report(hg: Hypergraph) -> WeightReport:
         total=total,
         bound=hg.n,
         is_equality=total == hg.n,
-        classification=classify_structure(hg),
-        k=k,
+        classification=classify_structure(a),
+        k=a.k,
     )
 
 
@@ -173,7 +173,7 @@ def turan_exact(n: int, r: int, k: int) -> TuranResult:
         )
     m = len(slots)
     full = (1 << m) - 1
-    pool = Hypergraph(n, r, slots)
+    pool = analyze(Hypergraph(n, r, slots))
     best_count = -1
     best_subset = 0
 
@@ -200,14 +200,13 @@ def turan_exact(n: int, r: int, k: int) -> TuranResult:
         dfs(idx + 1, chosen, count)
 
     dfs(0, 0, 0)
-    witness = Hypergraph(n, r, tuple(slots[i] for i in bits(best_subset)))
     return TuranResult(
         n=n,
         r=r,
         k=k,
         exact=best_count,
         paper_bound=n * f_r(r, k - 1),
-        witness=witness,
+        witness=hypergraph_from_subset(n, r, slots, best_subset),
     )
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from bergepaths.hypergraph import Hypergraph, possible_edges
 from bergepaths.oracle import oracle_length_table
-from bergepaths.search import edge_p_values, longest_path_length
+from bergepaths.search import analyze, longest_path_length
 from bergepaths.verify import (
     SweepConfig,
     coro_path_check,
@@ -113,14 +113,14 @@ def test_criterion_3_oracle_equivalence():
                 hg = Hypergraph(n, 3, tuple(slots[i] for i in combo))
                 k, pvals = oracle_length_table(hg)
                 assert longest_path_length(hg) == k, hg
-                assert edge_p_values(hg) == pvals, hg
+                assert analyze(hg).p_values == pvals, hg
                 checked += 1
     sampled = 0
     for index in range(1000):
         hg = _r4_sampled_instance(index)
         k, pvals = oracle_length_table(hg)
         assert longest_path_length(hg) == k, hg
-        assert edge_p_values(hg) == pvals, hg
+        assert analyze(hg).p_values == pvals, hg
         sampled += 1
     report_line(
         3,

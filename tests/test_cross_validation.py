@@ -6,7 +6,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from bergepaths.goodsets import rotation_closure
-from bergepaths.hypergraph import Hypergraph, bits, possible_edges
+from bergepaths.hypergraph import Hypergraph, bits, hypergraph_from_subset, possible_edges
 from bergepaths.search import (
     has_berge_cycle,
     find_berge_cycle,
@@ -54,6 +54,32 @@ def test_cycle_kernel_matches_brute_force_exhaustively():
                 assert (witness is not None) == expected
                 if witness is not None:
                     validate_cycle(hg, witness)
+
+
+def brute_force_least_cycle(hg, length):
+    """Least (vertex seq, edge seq) of a Berge cycle over every sequence of
+    distinct vertices and every choice of distinct edges, or None."""
+    # permutations of range(n) and products of ascending lists come out in
+    # lexicographic order, so the first cycle found is the least
+    for vs in itertools.permutations(range(hg.n), length):
+        flanks = [(1 << vs[j]) | (1 << vs[(j + 1) % length]) for j in range(length)]
+        cands = [[i for i, e in enumerate(hg.edges) if e & f == f] for f in flanks]
+        for es in itertools.product(*cands):
+            if len(set(es)) == length:
+                return vs, es
+    return None
+
+
+def test_cycle_witness_is_the_least_over_all_sequences():
+    cases = [(4, 3, 1), (5, 4, 1), (5, 3, 3)]
+    for n, r, stride in cases:
+        slots = possible_edges(n, r)
+        for subset in range(0, 1 << len(slots), stride):
+            hg = hypergraph_from_subset(n, r, slots, subset)
+            for length in range(2, n + 1):
+                witness = find_berge_cycle(hg, length)
+                got = None if witness is None else (witness.vertices, witness.edges)
+                assert got == brute_force_least_cycle(hg, length), (hg, length)
 
 
 def small_instances():

@@ -10,9 +10,11 @@ from bergepaths.goodsets import (
 )
 from bergepaths.hypergraph import (
     complete_hypergraph,
-    enumerate_hypergraphs,
     from_edge_lists,
+    hypergraph_from_subset,
+    is_connected,
     mask_of,
+    possible_edges,
 )
 from bergepaths.search import BergePath, SearchError, iter_longest_paths, longest_path_length
 from bergepaths.weights import f_r
@@ -145,8 +147,10 @@ def test_good_set_existence_and_patterns_exhaustive(n):
     """Connected instances with 1 < k <= r admit a good set matching one of
     the four structural patterns; k = 1 and k > r also stay nonempty."""
     r = 3
-    for h in enumerate_hypergraphs(n, r, connected_only=True):
-        if not h.num_edges:
+    slots = possible_edges(n, r)
+    for subset in range(1, 1 << len(slots)):
+        h = hypergraph_from_subset(n, r, slots, subset)
+        if not is_connected(h):
             continue
         certs = list(enumerate_good_sets(h))
         assert certs, h

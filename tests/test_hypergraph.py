@@ -8,8 +8,8 @@ from bergepaths.hypergraph import (
     complete_hypergraph,
     components,
     delete_vertices,
-    enumerate_hypergraphs,
     from_edge_lists,
+    hypergraph_from_subset,
     is_connected,
     mask_of,
     neighborhood,
@@ -135,17 +135,16 @@ class TestConstructions:
 
     @pytest.mark.parametrize("n,r,count", [(3, 3, 2), (4, 3, 16), (5, 3, 1024)])
     def test_enumeration_counts(self, n, r, count):
-        assert sum(1 for _ in enumerate_hypergraphs(n, r)) == count
-
-    def test_enumeration_refuses_large_slots(self):
-        with pytest.raises(HypergraphError, match="cap"):
-            next(enumerate_hypergraphs(9, 3))
+        # each subset mask of the possible edges builds a distinct labeled instance
+        slots = possible_edges(n, r)
+        built = {hypergraph_from_subset(n, r, slots, s) for s in range(1 << len(slots))}
+        assert len(built) == count
 
     def test_enumeration_connected_only(self):
-        conn = list(enumerate_hypergraphs(4, 3, connected_only=True))
+        slots = possible_edges(4, 3)
+        built = [hypergraph_from_subset(4, 3, slots, s) for s in range(1 << len(slots))]
         # needs all 4 vertices covered: at least 2 of the 4 triples
-        assert all(is_connected(h) for h in conn)
-        assert len(conn) == 11  # C(4,2)+C(4,3)+1 subsets of >=2 triples
+        assert sum(is_connected(h) for h in built) == 11  # C(4,2)+C(4,3)+1
 
 
 def small_hypergraphs(max_n=6):

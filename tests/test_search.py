@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from bergepaths.hypergraph import (
     Hypergraph,
+    bits,
     complete_hypergraph,
     delete_vertices,
     from_edge_lists,
+    is_connected,
     possible_edges,
 )
 from bergepaths.oracle import OracleError, oracle_length_table, oracle_longest_path
@@ -15,18 +17,18 @@ from bergepaths.search import (
     BergePath,
     PathQuery,
     SearchError,
-    edge_p_values,
+    analyze,
     find_berge_cycle,
     has_berge_cycle,
     has_path_with_endpoints,
     iter_paths_of_length,
     longest_berge_path,
     longest_path_length,
-    max_p_edge_mask,
     p_edge,
     render_path,
     validate_path,
 )
+from bergepaths.weights import classify_structure
 
 
 def hg(n, r, *edges):
@@ -91,10 +93,14 @@ class TestPEdge:
             p_edge(SINGLE, 1)
 
     def test_p_table_and_max_mask_agree(self):
-        for h in (SINGLE, CHAIN2, CHAIN3, K43, K53):
+        # K53 beside a disjoint 3-edge chain: the chain's edges have p = 3 < k = 4
+        chain = ([5, 6, 7], [7, 8, 9], [9, 10, 11])
+        k53_and_chain = hg(12, 3, *(bits(e) for e in K53.edges), *chain)
+        assert analyze(k53_and_chain).max_p_mask == (1 << 10) - 1
+        for h in (SINGLE, CHAIN2, CHAIN3, K43, K53, k53_and_chain):
             k = longest_path_length(h)
-            pvals = edge_p_values(h)
-            mask = max_p_edge_mask(h)
+            pvals = analyze(h).p_values
+            mask = analyze(h).max_p_mask
             assert all((pvals[i] == k) == bool(mask >> i & 1) for i in range(h.num_edges))
 
 
@@ -184,6 +190,18 @@ def test_oracle_equivalence_random(h):
         assert p_edge(h, i) == oracle_longest_path(h, PathQuery(required_edge=i))
 
 
+@given(small_searchable())
+@settings(max_examples=100)
+def test_analysis_matches_oracle_table(h):
+    a = analyze(h)
+    assert analyze(a) is a
+    k, pvals = oracle_length_table(h)
+    assert a.k == k and a.p_values == pvals
+    assert a.max_p_mask == sum(1 << i for i, p in enumerate(pvals) if p == k)
+    assert classify_structure(a) == classify_structure(h)
+    assert a.connected == is_connected(h)
+
+
 @given(small_searchable(), st.data())
 @settings(max_examples=100)
 def test_oracle_equivalence_combined_constraints(h, data):
@@ -231,4 +249,4 @@ def test_exhaustive_oracle_equivalence_tiny():
             h = Hypergraph(4, 3, tuple(slots[i] for i in combo))
             k, pvals = oracle_length_table(h)
             assert longest_path_length(h) == k
-            assert edge_p_values(h) == pvals
+            assert analyze(h).p_values == pvals

@@ -99,6 +99,7 @@ class TestSweep:
 class TestReportIO:
     def test_roundtrip(self, tmp_path):
         rep = run_sweep(SweepConfig(n=3, r=3, mode="exhaustive"))
+        assert rep.instances == 2  # the empty hypergraph and the single triple
         out = tmp_path / "rep.json"
         report_write(rep, out)
         assert report_read(out) == report_to_dict(rep)
