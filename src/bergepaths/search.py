@@ -10,6 +10,13 @@ used-edge mask) states with an admissible bound: a partial path of length
 d can reach at most d + min(unused edges, unused vertices). No
 transposition table; the bound prune dominates at this scale.
 
+Two kernels compute longest-path lengths. ``_max_len`` grows paths from
+every start vertex, or from a required endpoint: it gives k, the
+endpoint queries, and the existence queries of ``turan_exact`` (with a
+floor and excluded edges). ``_max_len_through`` seeds the path with one
+edge and grows it outward from both ends: it gives p(e), that is the
+p-table, ``p_edge`` and edge-only ``longest_path_length`` queries.
+
 Per-instance values live on an :class:`Analysis`. Every function that
 reads them takes a Hypergraph or an Analysis, so a caller holding one
 passes it along and each value is computed once.
@@ -163,7 +170,7 @@ class Analysis:
     def p_values(self) -> tuple[int, ...]:
         """p(e) for every edge; p never exceeds k."""
         k = self.k
-        return tuple(_max_len(self, required_edge=i, stop_at=k) for i in range(self.hg.num_edges))
+        return tuple(_max_len_through(self, i, stop_at=k) for i in range(self.hg.num_edges))
 
     @cached_property
     def max_p_mask(self) -> int:
@@ -240,6 +247,56 @@ def _max_len(
     return best
 
 
+def _max_len_through(a: Analysis, edge: int, stop_at: int | None = None) -> int:
+    """Longest path whose edges include ``edge``, or min(that, stop_at).
+
+    Every such path reads P1 x edge y P2. The search seeds the path with
+    ``edge`` on each pair {x, y} of its vertices, grows P2 from y and, at
+    any node, switches once to growing P1 from x, so only paths through
+    ``edge`` are ever built.
+    """
+    n, m = a.hg.n, a.hg.num_edges
+    cap = min(m, n - 1)
+    if stop_at is not None:
+        cap = min(cap, stop_at)
+    if cap <= 0:
+        return 0
+    edges_at, verts_of = a.adjacency
+    best = 0
+
+    def extend(v: int, other: int, used_v: int, used_e: int, depth: int, switched: bool) -> None:
+        nonlocal best
+        if depth > best:
+            best = depth
+            if best >= cap:
+                raise _Done
+        potential = m - used_e.bit_count()
+        rem_v = n - used_v.bit_count()
+        if rem_v < potential:
+            potential = rem_v
+        if depth + potential <= best:
+            return
+        for i in edges_at[v]:
+            if used_e >> i & 1:
+                continue
+            nxt_e = used_e | (1 << i)
+            for u in verts_of[i]:
+                if used_v >> u & 1:
+                    continue
+                extend(u, other, used_v | (1 << u), nxt_e, depth + 1, switched)
+        if not switched:
+            extend(other, v, used_v, used_e, depth, True)
+
+    vs = verts_of[edge]
+    try:
+        for j, x in enumerate(vs):
+            for y in vs[j + 1 :]:
+                extend(y, x, (1 << x) | (1 << y), 1 << edge, 1, False)
+    except _Done:
+        pass
+    return best
+
+
 def longest_path_length(hg: Hypergraph | Analysis, query: PathQuery | None = None) -> int:
     """Maximum Berge path length subject to an optional query.
 
@@ -254,6 +311,8 @@ def longest_path_length(hg: Hypergraph | Analysis, query: PathQuery | None = Non
         raise SearchError(f"edge index {query.required_edge} out of range")
     if query.required_endpoint is not None and not 0 <= query.required_endpoint < a.hg.n:
         raise SearchError(f"vertex {query.required_endpoint} out of range")
+    if query.required_edge is not None and query.required_endpoint is None:
+        return _max_len_through(a, query.required_edge, stop_at=query.target_length)
     return _max_len(
         a,
         required_edge=query.required_edge,
@@ -267,7 +326,7 @@ def p_edge(hg: Hypergraph | Analysis, edge: int) -> int:
     a = analyze(hg)
     if not 0 <= edge < a.hg.num_edges:
         raise SearchError(f"edge index {edge} out of range")
-    return _max_len(a, required_edge=edge, stop_at=a.k)
+    return _max_len_through(a, edge, stop_at=a.k)
 
 
 def iter_paths_of_length(hg: Hypergraph | Analysis, k: int) -> Iterator[BergePath]:

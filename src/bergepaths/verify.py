@@ -48,6 +48,7 @@ CHECK_NAMES = (
 
 SAMPLE_GENERATOR = "sha256-ctr"
 VIOLATION_CAP = 100
+MAX_WORKERS = 64
 
 CENSUS_KEYS = ("case_i", "case_ii", "not_extremal")
 
@@ -123,12 +124,12 @@ def sample_mask(seed: int, index: int, bits: int) -> int:
 def _check_instance(a: Analysis, checks: frozenset[str]) -> tuple[str, list[tuple[str, str]]]:
     """Classification label plus (check, detail) pairs for failed checks."""
     hg = a.hg
-    cls = classify_structure(a)
     failures: list[tuple[str, str]] = []
     connected = a.connected
 
     if "inequality" in checks or "equality_classifier" in checks:
         rep = weight_report(a)
+        cls = rep.classification
         if "inequality" in checks and rep.total > hg.n:
             failures.append(
                 ("inequality", f"weight sum {format_fraction(rep.total)} exceeds n={hg.n}")
@@ -141,6 +142,8 @@ def _check_instance(a: Analysis, checks: frozenset[str]) -> tuple[str, list[tupl
                     f" structural class {cls}",
                 )
             )
+    else:
+        cls = classify_structure(a)
 
     if "good_set_existence" in checks and connected and hg.num_edges:
         first = next(enumerate_good_sets(a), None)
@@ -216,14 +219,17 @@ def _run_block(cfg: SweepConfig, start: int, end: int):
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     """Apply the configured checks to every enumerated or sampled instance.
 
-    The index range is block-partitioned across ``workers`` processes;
-    merging is commutative (summed counters, violations re-sorted), so
-    any worker count produces the same report.
+    The index range is block-partitioned across ``workers`` processes
+    (1..MAX_WORKERS, checked before any process starts); merging is
+    commutative (summed counters, violations re-sorted), so any worker
+    count produces the same report.
     """
+    if not 1 <= workers <= MAX_WORKERS:
+        raise SweepConfigError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     validate_config(cfg)
     slots = possible_edges(cfg.n, cfg.r)
     total = (1 << len(slots)) if cfg.mode == "exhaustive" else cfg.sample_count
-    if workers <= 1 or total < 2 * workers:
+    if workers == 1 or total < 2 * workers:
         parts = [_run_block(cfg, 0, total)]
     else:
         step = -(-total // workers)

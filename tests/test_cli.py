@@ -91,6 +91,15 @@ def test_verify_sample_requires_seed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_verify_rejects_worker_count_out_of_range(capsys):
+    # 10 instances never reach the process pool, whatever the worker count
+    argv = ["verify", "--n", "4", "--r", "3", "--sample", "10", "--seed", "1"]
+    assert main(argv + ["--workers", "100000"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(argv + ["--workers", "0"]) == 2
+    assert "workers" in capsys.readouterr().err
+
+
 def test_gapcheck_table(capsys):
     assert main(["gapcheck", "--r", "3", "--kmax", "10"]) == 0
     out = capsys.readouterr().out

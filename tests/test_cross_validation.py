@@ -1,5 +1,6 @@
-"""Independent brute-force cross-checks for the cycle kernel and the
-rotation closure fixpoint, on exhaustively enumerated small instances."""
+"""Independent brute-force cross-checks for the search kernels, the exact
+Turan numbers and the rotation closure fixpoint, on exhaustively
+enumerated or sampled small instances."""
 
 import itertools
 
@@ -7,12 +8,80 @@ from hypothesis import given, settings, strategies as st
 
 from bergepaths.goodsets import rotation_closure
 from bergepaths.hypergraph import Hypergraph, bits, hypergraph_from_subset, possible_edges
+from bergepaths.oracle import ORACLE_MAX_EDGES, oracle_longest_path
 from bergepaths.search import (
+    PathQuery,
+    _max_len,
+    analyze,
     has_berge_cycle,
     find_berge_cycle,
     iter_longest_paths,
+    longest_path_length,
+    p_edge,
     validate_cycle,
 )
+from bergepaths.verify import sample_mask
+from bergepaths.weights import turan_exact
+
+
+def every_instance(n, r):
+    slots = possible_edges(n, r)
+    for subset in range(1 << len(slots)):
+        yield hypergraph_from_subset(n, r, slots, subset)
+
+
+def test_anchored_p_table_matches_vertex_start_search():
+    """The p-table, grown outward from each edge, equals the search from
+    every start vertex that counts only the paths using the edge."""
+    slots = possible_edges(6, 3)
+    sampled = (
+        hypergraph_from_subset(6, 3, slots, sample_mask(11, index, len(slots)))
+        for index in range(300)
+    )
+    cases = itertools.chain(
+        every_instance(4, 3), every_instance(5, 3), every_instance(5, 4), sampled
+    )
+    for hg in cases:
+        a = analyze(hg)
+        expected = tuple(
+            _max_len(a, required_edge=i, stop_at=a.k) for i in range(hg.num_edges)
+        )
+        assert a.p_values == expected, hg
+
+
+def test_anchored_queries_match_oracle_exhaustively():
+    for hg in every_instance(4, 3):
+        for i in range(hg.num_edges):
+            assert p_edge(hg, i) == oracle_longest_path(hg, PathQuery(required_edge=i)), hg
+            for t in range(hg.n + 1):
+                q = PathQuery(required_edge=i, target_length=t)
+                assert longest_path_length(hg, q) == oracle_longest_path(hg, q), (hg, q)
+
+
+def brute_force_turan_table(n, r):
+    """ex_r(n, BP_k) for k = 2..n: the largest edge subset whose longest
+    path, by the factorial oracle, is shorter than k."""
+    slots = possible_edges(n, r)
+    longest = {}
+    for subset in sorted(range(1 << len(slots)), key=int.bit_count):
+        if subset.bit_count() <= ORACLE_MAX_EDGES:
+            longest[subset] = oracle_longest_path(hypergraph_from_subset(n, r, slots, subset))
+        else:
+            # a path has at most n - 1 < |subset| edges, so it misses some edge
+            longest[subset] = max(longest[subset & ~(1 << i)] for i in bits(subset))
+    return {
+        k: max(s.bit_count() for s, length in longest.items() if length < k)
+        for k in range(2, n + 1)
+    }
+
+
+def test_turan_exact_matches_subset_brute_force():
+    for n, r in ((4, 3), (5, 3), (5, 4)):
+        for k, expected in brute_force_turan_table(n, r).items():
+            res = turan_exact(n, r, k)
+            assert res.exact == expected, (n, r, k)
+            assert res.witness.num_edges == expected
+            assert longest_path_length(res.witness) < k
 
 
 def brute_force_cycle_exists(hg, length):

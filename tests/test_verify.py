@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from bergepaths.verify import (
+    MAX_WORKERS,
     SweepConfig,
     SweepConfigError,
     coro_path_check,
@@ -88,6 +89,13 @@ class TestSweep:
         )
         a, b = run_sweep(cfg), run_sweep(cfg)
         assert a.violations == [] and a.census == b.census
+
+    def test_worker_count_bounds(self):
+        cfg = SweepConfig(n=3, r=3, mode="exhaustive")
+        for workers in (0, -1, MAX_WORKERS + 1):
+            with pytest.raises(SweepConfigError):
+                run_sweep(cfg, workers=workers)
+        assert run_sweep(cfg, workers=MAX_WORKERS).instances == 2
 
     def test_parallel_matches_sequential(self):
         cfg = SweepConfig(n=4, r=3, mode="exhaustive")
