@@ -49,8 +49,8 @@ def _assignable(edge_verts, seq, v0_fixed, vk_fixed) -> bool:
 def oracle_longest_path(hg: Hypergraph, query: PathQuery | None = None) -> int:
     """Maximum Berge path length satisfying ``query``, by full enumeration.
 
-    Returns 0 when no qualifying path with an edge exists. As in the main
-    engine, target_length permits stopping at that length.
+    Returns 0 when no qualifying path with an edge exists. With a
+    target_length t the result is min(maximum, t), as PathQuery documents.
     """
     if query is None:
         query = PathQuery()
@@ -59,8 +59,7 @@ def oracle_longest_path(hg: Hypergraph, query: PathQuery | None = None) -> int:
         raise OracleError(f"{m} edges exceed the oracle cap of {ORACLE_MAX_EDGES}")
     edge_verts = [tuple(bits(e)) for e in hg.edges]
     hi = min(m, hg.n - 1) if hg.n else 0
-    if query.target_length is not None:
-        hi = min(hi, query.target_length)
+    cap = hi if query.target_length is None else max(query.target_length, 0)
     endpoint = query.required_endpoint
     for length in range(hi, 0, -1):
         for seq in permutations(range(m), length):
@@ -68,11 +67,11 @@ def oracle_longest_path(hg: Hypergraph, query: PathQuery | None = None) -> int:
                 continue
             if endpoint is None:
                 if _assignable(edge_verts, seq, None, None):
-                    return length
+                    return min(length, cap)
             elif _assignable(edge_verts, seq, endpoint, None) or _assignable(
                 edge_verts, seq, None, endpoint
             ):
-                return length
+                return min(length, cap)
     return 0
 
 

@@ -5,17 +5,24 @@ edges, v0 e1 v1 ... ek vk, where each edge contains its two flanking
 vertices. Only the defining vertices belong to the path; an edge may also
 contain vertices outside it.
 
-The search is depth-first backtracking over (endpoint, used-vertex mask,
-used-edge mask) states with an admissible bound: a partial path of length
-d can reach at most d + min(unused edges, unused vertices). No
-transposition table; the bound prune dominates at this scale.
+Two depth-first searches over (endpoint, used-vertex mask, used-edge
+mask) states do all the work, both pruned by an admissible bound: a
+partial path of length d can reach at most d + min(unused edges, unused
+vertices). No transposition table; the bound prune dominates at this
+scale.
 
-Two kernels compute longest-path lengths. ``_max_len`` grows paths from
-every start vertex, or from a required endpoint: it gives k, the
-endpoint queries, and the existence queries of ``turan_exact`` (with a
-floor and excluded edges). ``_max_len_through`` seeds the path with one
-edge and grows it outward from both ends: it gives p(e), that is the
-p-table, ``p_edge`` and edge-only ``longest_path_length`` queries.
+``_max_len`` is a branch-and-bound maximizer. It gives k, p(e) (the
+p-table, ``p_edge``), every ``longest_path_length`` query and the
+existence queries of ``turan_exact`` (with a floor and excluded edges).
+
+``_walk`` lazily yields every path of an exact length from one start
+vertex. It gives ``iter_paths_of_length`` and so ``iter_longest_paths``
+and the witness of ``longest_berge_path``, the (k+1)-cycles of
+``find_berge_cycle`` and ``has_berge_cycle``, and
+``has_path_with_endpoints``. Maximizing and enumerating stay two
+searches: a merged kernel would branch on its caller, and the walk must
+stay lazy, since a (6,3) instance can have tens of thousands of longest
+paths.
 
 Per-instance values live on an :class:`Analysis`. Every function that
 reads them takes a Hypergraph or an Analysis, so a caller holding one
@@ -170,7 +177,7 @@ class Analysis:
     def p_values(self) -> tuple[int, ...]:
         """p(e) for every edge; p never exceeds k."""
         k = self.k
-        return tuple(_max_len_through(self, i, stop_at=k) for i in range(self.hg.num_edges))
+        return tuple(_max_len(self, required_edge=i, stop_at=k) for i in range(self.hg.num_edges))
 
     @cached_property
     def max_p_mask(self) -> int:
@@ -197,76 +204,32 @@ def _max_len(
 ) -> int:
     """Maximum qualifying path length, or min(maximum, stop_at) if stop_at is set.
 
+    With a required edge and no required endpoint, every qualifying path
+    reads P1 x edge y P2: the search seeds the path with the edge on each
+    pair {x, y} of its vertices, grows P2 from y and, at any node, switches
+    once to growing P1 from x. Otherwise it grows paths from every start
+    vertex, or from the required endpoint, and counts only those that use
+    the required edge.
+
     ``floor`` additionally prunes branches that cannot exceed it; when
     floor > 0 the return value is only meaningful compared against floor
     (used for pure existence queries). ``excluded_edges`` masks out edge
     indices entirely, letting callers search sub-hypergraphs in place.
     """
     n, m = a.hg.n, a.hg.num_edges
-    if n == 0:
-        return 0
-    avail = m - excluded_edges.bit_count()
-    cap = min(avail, n - 1)
-    if stop_at is not None:
-        cap = min(cap, stop_at)
-    if avail == 0 or cap <= 0:
-        return 0
-    edges_at, verts_of = a.adjacency
-    best = 0
-    req = required_edge
-
-    def extend(v: int, used_v: int, used_e: int, depth: int, has_req: bool) -> None:
-        nonlocal best
-        if has_req and depth > best:
-            best = depth
-            if best >= cap:
-                raise _Done
-        potential = m - used_e.bit_count()
-        rem_v = n - used_v.bit_count()
-        if rem_v < potential:
-            potential = rem_v
-        limit = best if best > floor else floor
-        if depth + potential <= limit:
-            return
-        for i in edges_at[v]:
-            if used_e >> i & 1:
-                continue
-            nxt_e = used_e | (1 << i)
-            hr = has_req or i == req
-            for u in verts_of[i]:
-                if used_v >> u & 1:
-                    continue
-                extend(u, used_v | (1 << u), nxt_e, depth + 1, hr)
-
-    starts = range(n) if required_endpoint is None else (required_endpoint,)
-    try:
-        for s in starts:
-            extend(s, 1 << s, excluded_edges, 0, req is None)
-    except _Done:
-        pass
-    return best
-
-
-def _max_len_through(a: Analysis, edge: int, stop_at: int | None = None) -> int:
-    """Longest path whose edges include ``edge``, or min(that, stop_at).
-
-    Every such path reads P1 x edge y P2. The search seeds the path with
-    ``edge`` on each pair {x, y} of its vertices, grows P2 from y and, at
-    any node, switches once to growing P1 from x, so only paths through
-    ``edge`` are ever built.
-    """
-    n, m = a.hg.n, a.hg.num_edges
-    cap = min(m, n - 1)
+    cap = min(m - excluded_edges.bit_count(), n - 1)
     if stop_at is not None:
         cap = min(cap, stop_at)
     if cap <= 0:
         return 0
     edges_at, verts_of = a.adjacency
-    best = 0
+    need = 0 if required_edge is None else 1 << required_edge
+    best = floor
 
-    def extend(v: int, other: int, used_v: int, used_e: int, depth: int, switched: bool) -> None:
+    def extend(v: int, other: int, used_v: int, used_e: int, depth: int) -> None:
+        # other >= 0: the far end of the seed edge, not yet grown from
         nonlocal best
-        if depth > best:
+        if depth > best and used_e & need == need:
             best = depth
             if best >= cap:
                 raise _Done
@@ -283,18 +246,23 @@ def _max_len_through(a: Analysis, edge: int, stop_at: int | None = None) -> int:
             for u in verts_of[i]:
                 if used_v >> u & 1:
                     continue
-                extend(u, other, used_v | (1 << u), nxt_e, depth + 1, switched)
-        if not switched:
-            extend(other, v, used_v, used_e, depth, True)
+                extend(u, other, used_v | (1 << u), nxt_e, depth + 1)
+        if other >= 0:
+            extend(other, -1, used_v, used_e, depth)
 
-    vs = verts_of[edge]
     try:
-        for j, x in enumerate(vs):
-            for y in vs[j + 1 :]:
-                extend(y, x, (1 << x) | (1 << y), 1 << edge, 1, False)
+        if need and required_endpoint is None:
+            vs = verts_of[required_edge]
+            for j, x in enumerate(vs):
+                for y in vs[j + 1 :]:
+                    extend(y, x, (1 << x) | (1 << y), excluded_edges | need, 1)
+        else:
+            starts = range(n) if required_endpoint is None else (required_endpoint,)
+            for s in starts:
+                extend(s, -1, 1 << s, excluded_edges, 0)
     except _Done:
         pass
-    return best
+    return min(best, cap)
 
 
 def longest_path_length(hg: Hypergraph | Analysis, query: PathQuery | None = None) -> int:
@@ -311,8 +279,6 @@ def longest_path_length(hg: Hypergraph | Analysis, query: PathQuery | None = Non
         raise SearchError(f"edge index {query.required_edge} out of range")
     if query.required_endpoint is not None and not 0 <= query.required_endpoint < a.hg.n:
         raise SearchError(f"vertex {query.required_endpoint} out of range")
-    if query.required_edge is not None and query.required_endpoint is None:
-        return _max_len_through(a, query.required_edge, stop_at=query.target_length)
     return _max_len(
         a,
         required_edge=query.required_edge,
@@ -326,7 +292,44 @@ def p_edge(hg: Hypergraph | Analysis, edge: int) -> int:
     a = analyze(hg)
     if not 0 <= edge < a.hg.num_edges:
         raise SearchError(f"edge index {edge} out of range")
-    return _max_len_through(a, edge, stop_at=a.k)
+    return _max_len(a, required_edge=edge, stop_at=a.k)
+
+
+def _walk(
+    a: Analysis, start: int, length: int, lowest: int = 0
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """Every path of exactly ``length`` edges from ``start`` whose other
+    vertices are all >= ``lowest``, in depth-first order.
+
+    Yields (vertex list, edge list, used-edge mask). The two lists are
+    reused from one yield to the next, so copy them to keep them.
+    """
+    n, m = a.hg.n, a.hg.num_edges
+    edges_at, verts_of = a.adjacency
+    path_v = [start] + [0] * length
+    path_e = [0] * length
+
+    def extend(v: int, used_v: int, used_e: int, depth: int):
+        if depth == length:
+            yield path_v, path_e, used_e
+            return
+        potential = m - used_e.bit_count()
+        rem_v = n - used_v.bit_count()
+        if rem_v < potential:
+            potential = rem_v
+        if depth + potential < length:
+            return
+        for i in edges_at[v]:
+            if used_e >> i & 1:
+                continue
+            for u in verts_of[i]:
+                if used_v >> u & 1 or u < lowest:
+                    continue
+                path_e[depth] = i
+                path_v[depth + 1] = u
+                yield from extend(u, used_v | (1 << u), used_e | (1 << i), depth + 1)
+
+    return extend(start, 1 << start, 0, 0)
 
 
 def iter_paths_of_length(hg: Hypergraph | Analysis, k: int) -> Iterator[BergePath]:
@@ -336,40 +339,9 @@ def iter_paths_of_length(hg: Hypergraph | Analysis, k: int) -> Iterator[BergePat
     distinct alternating sequence).
     """
     a = analyze(hg)
-    n, m = a.hg.n, a.hg.num_edges
-    if k == 0:
-        for v in range(n):
-            yield BergePath((v,), ())
-        return
-    if n == 0 or k > min(m, n - 1):
-        return
-    edges_at, verts_of = a.adjacency
-    path_v = [0] * (k + 1)
-    path_e = [0] * k
-
-    def extend(v: int, used_v: int, used_e: int, depth: int):
-        if depth == k:
-            yield BergePath(tuple(path_v), tuple(path_e))
-            return
-        potential = m - used_e.bit_count()
-        rem_v = n - used_v.bit_count()
-        if rem_v < potential:
-            potential = rem_v
-        if depth + potential < k:
-            return
-        for i in edges_at[v]:
-            if used_e >> i & 1:
-                continue
-            for u in verts_of[i]:
-                if used_v >> u & 1:
-                    continue
-                path_e[depth] = i
-                path_v[depth + 1] = u
-                yield from extend(u, used_v | (1 << u), used_e | (1 << i), depth + 1)
-
-    for s in range(n):
-        path_v[0] = s
-        yield from extend(s, 1 << s, 0, 0)
+    for s in range(a.hg.n):
+        for vs, es, _ in _walk(a, s, k):
+            yield BergePath(tuple(vs), tuple(es))
 
 
 def iter_longest_paths(hg: Hypergraph | Analysis) -> Iterator[BergePath]:
@@ -388,7 +360,9 @@ def longest_berge_path(hg: Hypergraph | Analysis) -> tuple[int, BergePath]:
     a = analyze(hg)
     if a.hg.n == 0:
         raise SearchError("hypergraph has no vertices, hence no paths")
-    vs, es = min((p.vertices, p.edges) for p in iter_paths_of_length(a, a.k))
+    vs, es = min(
+        (tuple(pv), tuple(pe)) for s in range(a.hg.n) for pv, pe, _ in _walk(a, s, a.k)
+    )
     witness = BergePath(vs, es)
     if __debug__:
         validate_path(a.hg, witness)
@@ -401,38 +375,14 @@ def _iter_cycle_seqs(a: Analysis, k: int) -> Iterator[tuple[tuple[int, ...], tup
     n, m = a.hg.n, a.hg.num_edges
     if k < 2 or k > m or k > n:
         return
-    edges_at, verts_of = a.adjacency
+    edges_at = a.adjacency[0]
     masks = a.hg.edges
-    path_v = [0] * k
-    path_e = [0] * k
-
-    def extend(v0: int, v: int, used_v: int, used_e: int, depth: int):
-        if depth == k - 1:
-            close = (1 << v) | (1 << v0)
-            for i in edges_at[v0]:
-                if used_e >> i & 1:
-                    continue
-                if masks[i] & close == close:
-                    path_e[depth] = i
-                    yield tuple(path_v), tuple(path_e)
-            return
-        rem_e = m - used_e.bit_count()
-        rem_v = n - used_v.bit_count()
-        if rem_e < k - depth or rem_v < k - 1 - depth:
-            return
-        for i in edges_at[v]:
-            if used_e >> i & 1:
-                continue
-            for u in verts_of[i]:
-                if used_v >> u & 1 or u < v0:
-                    continue
-                path_e[depth] = i
-                path_v[depth + 1] = u
-                yield from extend(v0, u, used_v | (1 << u), used_e | (1 << i), depth + 1)
-
     for s in range(n):
-        path_v[0] = s
-        yield from extend(s, s, 1 << s, 0, 0)
+        for vs, es, used_e in _walk(a, s, k - 1, lowest=s):
+            close = (1 << vs[-1]) | (1 << s)
+            for i in edges_at[s]:
+                if not used_e >> i & 1 and masks[i] & close == close:
+                    yield tuple(vs), (*es, i)
 
 
 def has_berge_cycle(hg: Hypergraph | Analysis, length: int) -> bool:
@@ -468,32 +418,6 @@ def has_path_with_endpoints(hg: Hypergraph | Analysis, u: int, w: int, length: i
     for v in (u, w):
         if not 0 <= v < a.hg.n:
             raise SearchError(f"vertex {v} out of range")
-    if u == w:
-        return length == 0
-    if length == 0:
-        return False
-    n, m = a.hg.n, a.hg.num_edges
-    if length > min(m, n - 1):
-        return False
-    edges_at, verts_of = a.adjacency
-
-    def extend(v: int, used_v: int, used_e: int, depth: int) -> bool:
-        if depth == length:
-            return v == w
-        rem_e = m - used_e.bit_count()
-        rem_v = n - used_v.bit_count()
-        if rem_e < length - depth or rem_v < length - depth:
-            return False
-        for i in edges_at[v]:
-            if used_e >> i & 1:
-                continue
-            for x in verts_of[i]:
-                if used_v >> x & 1:
-                    continue
-                if depth + 1 == length and x != w:
-                    continue
-                if extend(x, used_v | (1 << x), used_e | (1 << i), depth + 1):
-                    return True
-        return False
-
-    return extend(u, 1 << u, 0, 0)
+    if u == w or length <= 0:
+        return u == w and length == 0
+    return any(vs[-1] == w for vs, _, _ in _walk(a, u, length))

@@ -185,22 +185,15 @@ def turan_exact(n: int, r: int, k: int) -> TuranResult:
         if idx == m or count + (m - idx) <= best_count:
             return
         with_idx = chosen | (1 << idx)
-        # Stays on the vertex-start search, not the edge-anchored one the
-        # p-table uses: these queries mostly refute a path, and refuting one
-        # anchored at idx visits every (suffix, prefix) pair around it. Search
-        # nodes went up from 44,469 to 81,170 at (6,4,5) and from 168,596 to
-        # 169,375 at (7,5,5); only (6,3,4) went down, from 51,506 to 31,531.
-        creates = (
-            _max_len(
-                pool,
-                required_edge=idx,
-                stop_at=k,
-                floor=k - 1,
-                excluded_edges=full & ~with_idx,
-            )
-            >= k
-        )
-        if not creates:
+        # chosen holds no length-k path, so every length-k path of
+        # chosen + {idx} uses idx and no edge needs to be required. The search
+        # seeds from vertices, not from idx: these queries mostly refute a
+        # path, and refuting one grown outward from idx visits every
+        # (suffix, prefix) pair around it. Search nodes went up from 44,469
+        # to 81,170 at (6,4,5) and from 168,596 to 169,375 at (7,5,5); only
+        # (6,3,4) went down, from 51,506 to 31,531.
+        excluded = full & ~with_idx
+        if _max_len(pool, stop_at=k, floor=k - 1, excluded_edges=excluded) < k:
             dfs(idx + 1, with_idx, count + 1)
         dfs(idx + 1, chosen, count)
 

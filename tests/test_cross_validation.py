@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from bergepaths.goodsets import rotation_closure
 from bergepaths.hypergraph import Hypergraph, bits, hypergraph_from_subset, possible_edges
-from bergepaths.oracle import ORACLE_MAX_EDGES, oracle_longest_path
+from bergepaths.oracle import ORACLE_MAX_EDGES, _assignable, oracle_longest_path
 from bergepaths.search import (
     PathQuery,
     _max_len,
     analyze,
     has_berge_cycle,
     find_berge_cycle,
+    has_path_with_endpoints,
     iter_longest_paths,
     longest_path_length,
     p_edge,
@@ -44,7 +45,11 @@ def test_anchored_p_table_matches_vertex_start_search():
     for hg in cases:
         a = analyze(hg)
         expected = tuple(
-            _max_len(a, required_edge=i, stop_at=a.k) for i in range(hg.num_edges)
+            max(
+                _max_len(a, required_edge=i, required_endpoint=v, stop_at=a.k)
+                for v in range(hg.n)
+            )
+            for i in range(hg.num_edges)
         )
         assert a.p_values == expected, hg
 
@@ -56,6 +61,37 @@ def test_anchored_queries_match_oracle_exhaustively():
             for t in range(hg.n + 1):
                 q = PathQuery(required_edge=i, target_length=t)
                 assert longest_path_length(hg, q) == oracle_longest_path(hg, q), (hg, q)
+
+
+def test_combined_queries_return_min_of_maximum_and_target():
+    """A required edge, a required endpoint and a target t together give
+    min(untargeted maximum, t), from the engine and from the oracle."""
+    for hg in every_instance(4, 3):
+        for i in range(hg.num_edges):
+            for v in range(hg.n):
+                untargeted = longest_path_length(
+                    hg, PathQuery(required_edge=i, required_endpoint=v)
+                )
+                for t in range(hg.n + 1):
+                    q = PathQuery(required_edge=i, required_endpoint=v, target_length=t)
+                    got = longest_path_length(hg, q)
+                    assert got == oracle_longest_path(hg, q) == min(untargeted, t), (hg, q)
+
+
+def test_fixed_endpoint_paths_match_brute_force():
+    """has_path_with_endpoints equals a search over edge permutations with
+    both terminals fixed in the oracle's vertex assignment."""
+    cases = itertools.chain(every_instance(4, 3), every_instance(5, 3), every_instance(5, 4))
+    for hg in cases:
+        if hg.num_edges > 4:
+            continue
+        edge_verts = [tuple(bits(e)) for e in hg.edges]
+        for length in range(1, hg.num_edges + 1):
+            seqs = list(itertools.permutations(range(hg.num_edges), length))
+            for u, w in itertools.permutations(range(hg.n), 2):
+                expected = any(_assignable(edge_verts, seq, u, w) for seq in seqs)
+                got = has_path_with_endpoints(hg, u, w, length)
+                assert got == expected, (hg, u, w, length)
 
 
 def brute_force_turan_table(n, r):
