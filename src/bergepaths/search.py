@@ -5,24 +5,29 @@ edges, v0 e1 v1 ... ek vk, where each edge contains its two flanking
 vertices. Only the defining vertices belong to the path; an edge may also
 contain vertices outside it.
 
-Two depth-first searches over (endpoint, used-vertex mask, used-edge
-mask) states do all the work, both pruned by an admissible bound: a
-partial path of length d can reach at most d + min(unused edges, unused
-vertices). No transposition table; the bound prune dominates at this
-scale.
+Three depth-first searches do all the work.
 
-``_max_len`` is a branch-and-bound maximizer. It gives k, p(e) (the
-p-table, ``p_edge``), every ``longest_path_length`` query and the
-existence queries of ``turan_exact`` (with a floor and excluded edges).
+``_max_len`` is a branch-and-bound maximizer over (endpoint, used-vertex
+mask, used-edge mask) states, pruned by an admissible bound: a partial
+path of length d can reach at most d + min(unused edges, unused
+vertices). No transposition table; the bound prune dominates at this
+scale. It gives k, p(e) (the p-table, ``p_edge``), every
+``longest_path_length`` query and the existence queries of
+``turan_exact`` (with a floor and excluded edges).
 
 ``_walk`` lazily yields every path of an exact length from one start
-vertex. It gives ``iter_paths_of_length`` and so ``iter_longest_paths``
-and the witness of ``longest_berge_path``, the (k+1)-cycles of
-``find_berge_cycle`` and ``has_berge_cycle``, and
-``has_path_with_endpoints``. Maximizing and enumerating stay two
-searches: a merged kernel would branch on its caller, and the walk must
-stay lazy, since a (6,3) instance can have tens of thousands of longest
-paths.
+vertex, with the same bound. It gives ``iter_paths_of_length``, so
+``iter_longest_paths``, and ``has_path_with_endpoints``. Maximizing and
+enumerating stay two searches: a merged kernel would branch on its
+caller, and the walk must stay lazy, since a (6,3) instance can have
+tens of thousands of longest paths.
+
+``_least_seq`` finds the lexicographically least witness without
+walking every path: it tries vertex sequences in order and keeps a
+prefix only while its consecutive pairs can take distinct edges, a
+bipartite matching (``_matchable``). It gives ``longest_berge_path`` and
+the cycles of ``find_berge_cycle`` and ``has_berge_cycle``, among them
+the (k+1)-cycles behind good sets.
 
 Per-instance values live on an :class:`Analysis`. Every function that
 reads them takes a Hypergraph or an Analysis, so a caller holding one
@@ -295,14 +300,11 @@ def p_edge(hg: Hypergraph | Analysis, edge: int) -> int:
     return _max_len(a, required_edge=edge, stop_at=a.k)
 
 
-def _walk(
-    a: Analysis, start: int, length: int, lowest: int = 0
-) -> Iterator[tuple[list[int], list[int], int]]:
-    """Every path of exactly ``length`` edges from ``start`` whose other
-    vertices are all >= ``lowest``, in depth-first order.
+def _walk(a: Analysis, start: int, length: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Every path of exactly ``length`` edges from ``start``, in depth-first order.
 
-    Yields (vertex list, edge list, used-edge mask). The two lists are
-    reused from one yield to the next, so copy them to keep them.
+    Yields (vertex list, edge list). The two lists are reused from one
+    yield to the next, so copy them to keep them.
     """
     n, m = a.hg.n, a.hg.num_edges
     edges_at, verts_of = a.adjacency
@@ -311,7 +313,7 @@ def _walk(
 
     def extend(v: int, used_v: int, used_e: int, depth: int):
         if depth == length:
-            yield path_v, path_e, used_e
+            yield path_v, path_e
             return
         potential = m - used_e.bit_count()
         rem_v = n - used_v.bit_count()
@@ -323,7 +325,7 @@ def _walk(
             if used_e >> i & 1:
                 continue
             for u in verts_of[i]:
-                if used_v >> u & 1 or u < lowest:
+                if used_v >> u & 1:
                     continue
                 path_e[depth] = i
                 path_v[depth + 1] = u
@@ -338,9 +340,11 @@ def iter_paths_of_length(hg: Hypergraph | Analysis, k: int) -> Iterator[BergePat
     Both orientations of each path are produced (a reversed path is a
     distinct alternating sequence).
     """
+    if k < 0:
+        raise SearchError(f"path length {k} < 0")
     a = analyze(hg)
     for s in range(a.hg.n):
-        for vs, es, _ in _walk(a, s, k):
+        for vs, es in _walk(a, s, k):
             yield BergePath(tuple(vs), tuple(es))
 
 
@@ -348,6 +352,83 @@ def iter_longest_paths(hg: Hypergraph | Analysis) -> Iterator[BergePath]:
     """Every maximum-length Berge path."""
     a = analyze(hg)
     return iter_paths_of_length(a, a.k)
+
+
+def _matchable(cands: list[int], taken: int) -> bool:
+    """True when every edge mask in ``cands`` can give its own edge outside
+    ``taken`` (a system of distinct representatives), by Kuhn's
+    augmenting paths."""
+    owner: dict[int, int] = {}  # edge bit -> index of the mask holding it
+    seen = taken
+
+    def augment(j: int) -> bool:
+        nonlocal seen
+        while free := cands[j] & ~seen:
+            bit = free & -free
+            seen |= bit
+            if bit not in owner or augment(owner[bit]):
+                owner[bit] = j
+                return True
+        return False
+
+    for j in range(len(cands)):
+        seen = taken
+        if not augment(j):
+            return False
+    return True
+
+
+def _least_seq(
+    a: Analysis, length: int, cycle: bool
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The lexicographically least (vertex sequence, edge sequence) of a
+    Berge path with ``length`` edges, or of a Berge cycle of ``length``
+    when ``cycle`` is set; None when there is none.
+
+    Vertex sequences are tried in lexicographic order, and a prefix
+    survives only while its consecutive pairs can take distinct edges
+    (Hall's condition, checked by ``_matchable``), so the first complete
+    sequence is the least. Each pair then takes its least edge that
+    leaves the later pairs matchable. A least cycle starts at its minimum
+    vertex, so the other vertices of a cycle exceed the first.
+    """
+    n = a.hg.n
+    inc = [sum(1 << i for i in at) for at in a.adjacency[0]]
+    seq: list[int] = []
+    cands: list[int] = []  # cands[j]: the edges holding seq[j] and seq[j + 1]
+    open_pairs = length - 1 if cycle else length
+
+    def extend() -> bool:
+        v = seq[-1]
+        if len(cands) == open_pairs:
+            return not cycle or _matchable(cands + [inc[v] & inc[seq[0]]], 0)
+        for u in range(seq[0] + 1 if cycle else 0, n):
+            c = inc[v] & inc[u]
+            if not c or u in seq:
+                continue
+            cands.append(c)
+            if _matchable(cands, 0):
+                seq.append(u)
+                if extend():
+                    return True
+                seq.pop()
+            cands.pop()
+        return False
+
+    for s in range(n):
+        seq[:] = [s]
+        if extend():
+            break
+    else:
+        return None
+    if cycle:
+        cands.append(inc[seq[-1]] & inc[seq[0]])
+    es, taken = [], 0
+    for j, c in enumerate(cands):
+        i = next(i for i in bits(c & ~taken) if _matchable(cands[j + 1 :], taken | 1 << i))
+        taken |= 1 << i
+        es.append(i)
+    return tuple(seq), tuple(es)
 
 
 def longest_berge_path(hg: Hypergraph | Analysis) -> tuple[int, BergePath]:
@@ -360,36 +441,15 @@ def longest_berge_path(hg: Hypergraph | Analysis) -> tuple[int, BergePath]:
     a = analyze(hg)
     if a.hg.n == 0:
         raise SearchError("hypergraph has no vertices, hence no paths")
-    vs, es = min(
-        (tuple(pv), tuple(pe)) for s in range(a.hg.n) for pv, pe, _ in _walk(a, s, a.k)
-    )
-    witness = BergePath(vs, es)
+    witness = BergePath(*_least_seq(a, a.k, cycle=False))
     if __debug__:
         validate_path(a.hg, witness)
     return a.k, witness
 
 
-def _iter_cycle_seqs(a: Analysis, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Berge cycles of length k as (vertex seq, edge seq), each starting at
-    its minimum vertex, in both directions and with every edge choice."""
-    n, m = a.hg.n, a.hg.num_edges
-    if k < 2 or k > m or k > n:
-        return
-    edges_at = a.adjacency[0]
-    masks = a.hg.edges
-    for s in range(n):
-        for vs, es, used_e in _walk(a, s, k - 1, lowest=s):
-            close = (1 << vs[-1]) | (1 << s)
-            for i in edges_at[s]:
-                if not used_e >> i & 1 and masks[i] & close == close:
-                    yield tuple(vs), (*es, i)
-
-
 def has_berge_cycle(hg: Hypergraph | Analysis, length: int) -> bool:
     """True when a Berge cycle of exactly ``length`` exists."""
-    if length < 2:
-        raise SearchError(f"cycle length {length} < 2")
-    return next(_iter_cycle_seqs(analyze(hg), length), None) is not None
+    return find_berge_cycle(hg, length) is not None
 
 
 def find_berge_cycle(hg: Hypergraph | Analysis, length: int) -> BergeCycle | None:
@@ -397,13 +457,13 @@ def find_berge_cycle(hg: Hypergraph | Analysis, length: int) -> BergeCycle | Non
 
     Witness selection matches longest_berge_path: lexicographically least
     (vertex sequence, edge sequence) over all rotations and reflections.
-    That least form starts at the cycle's minimum vertex, so the minimum
-    over the sequences starting there is the same witness.
     """
     if length < 2:
         raise SearchError(f"cycle length {length} < 2")
     a = analyze(hg)
-    best = min(_iter_cycle_seqs(a, length), default=None)
+    if length > a.hg.num_edges or length > a.hg.n:
+        return None
+    best = _least_seq(a, length, cycle=True)
     if best is None:
         return None
     cycle = BergeCycle(*best)
@@ -420,4 +480,4 @@ def has_path_with_endpoints(hg: Hypergraph | Analysis, u: int, w: int, length: i
             raise SearchError(f"vertex {v} out of range")
     if u == w or length <= 0:
         return u == w and length == 0
-    return any(vs[-1] == w for vs, _, _ in _walk(a, u, length))
+    return any(vs[-1] == w for vs, _ in _walk(a, u, length))

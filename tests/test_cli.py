@@ -44,6 +44,17 @@ def test_longest_and_p_edge(chain_file, capsys):
     assert "p(edge 1) = 2" in capsys.readouterr().out
 
 
+def test_longest_and_goodset_on_k73(tmp_path, capsys):
+    # too many longest paths to walk them all; a permutation brute force gives the same witness
+    path = tmp_path / "k73.hg"
+    path.write_text(serialize_hypergraph(complete_hypergraph(7, 3)))
+    assert main(["longest", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "k = 6" in out and "v0 -e0- v1 -e3- v2 -e2- v3 -e7- v4 -e16- v5 -e30- v6" in out
+    assert main(["goodset", str(path)]) == 0
+    assert "S={0,1,2,3,4,5,6}" in capsys.readouterr().out
+
+
 def test_goodset_single_and_all(k53_file, capsys):
     assert main(["goodset", k53_file]) == 0
     assert "S={0,1,2,3,4}" in capsys.readouterr().out

@@ -17,6 +17,7 @@ from bergepaths.search import (
     find_berge_cycle,
     has_path_with_endpoints,
     iter_longest_paths,
+    longest_berge_path,
     longest_path_length,
     p_edge,
     validate_cycle,
@@ -161,13 +162,15 @@ def test_cycle_kernel_matches_brute_force_exhaustively():
                     validate_cycle(hg, witness)
 
 
-def brute_force_least_cycle(hg, length):
-    """Least (vertex seq, edge seq) of a Berge cycle over every sequence of
-    distinct vertices and every choice of distinct edges, or None."""
+def brute_force_least_sequence(hg, num_vertices, length):
+    """Least (vertex seq, edge seq) with ``num_vertices`` distinct vertices
+    and ``length`` distinct edges, edge j holding vertices j and j + 1
+    (wrapping), over every sequence and every edge choice, or None. A path
+    has one vertex more than edges, a cycle as many."""
     # permutations of range(n) and products of ascending lists come out in
-    # lexicographic order, so the first cycle found is the least
-    for vs in itertools.permutations(range(hg.n), length):
-        flanks = [(1 << vs[j]) | (1 << vs[(j + 1) % length]) for j in range(length)]
+    # lexicographic order, so the first sequence found is the least
+    for vs in itertools.permutations(range(hg.n), num_vertices):
+        flanks = [(1 << vs[j]) | (1 << vs[(j + 1) % num_vertices]) for j in range(length)]
         cands = [[i for i, e in enumerate(hg.edges) if e & f == f] for f in flanks]
         for es in itertools.product(*cands):
             if len(set(es)) == length:
@@ -184,7 +187,25 @@ def test_cycle_witness_is_the_least_over_all_sequences():
             for length in range(2, n + 1):
                 witness = find_berge_cycle(hg, length)
                 got = None if witness is None else (witness.vertices, witness.edges)
-                assert got == brute_force_least_cycle(hg, length), (hg, length)
+                assert got == brute_force_least_sequence(hg, length, length), (hg, length)
+
+
+def test_path_witness_is_the_least_over_all_sequences():
+    cases = [(4, 3, 1), (5, 4, 1), (5, 3, 3)]
+    for n, r, stride in cases:
+        slots = possible_edges(n, r)
+        for subset in range(0, 1 << len(slots), stride):
+            hg = hypergraph_from_subset(n, r, slots, subset)
+            if hg.num_edges <= ORACLE_MAX_EDGES:
+                k = oracle_longest_path(hg)
+            else:
+                # past the oracle's cap (K_5^3 here): no path is longer than
+                # n - 1, and the brute force below shows one that long
+                k = n - 1
+            got_k, witness = longest_berge_path(hg)
+            expected = brute_force_least_sequence(hg, k + 1, k)
+            assert expected is not None and got_k == k, hg
+            assert (witness.vertices, witness.edges) == expected, hg
 
 
 def small_instances():

@@ -72,6 +72,10 @@ class TestLongestPath:
         )
         assert (w.vertices, w.edges) == best
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(SearchError, match="< 0"):
+            list(iter_paths_of_length(K43, -1))
+
     def test_render(self):
         _, w = longest_berge_path(CHAIN2)
         assert render_path(w) == "v0 -e0- v2 -e1- v3"
