@@ -38,6 +38,7 @@ from .weights import (
 from .goodsets import (
     GoodSetCertificate,
     RotationFamily,
+    check_rotation_bound,
     check_spanning_cycle_property,
     enumerate_good_sets,
     find_good_set,

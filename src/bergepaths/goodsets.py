@@ -11,6 +11,16 @@ rearrange the same defining vertices and edges to expose new far
 terminals, until no segment of P both avoids the terminal set and meets
 it through its edge. At that fixpoint the edges of P meeting the
 terminal set tau number at most 2|tau| - 1.
+
+One private core, ``_close``, computes that fixpoint on plain vertex and
+edge sequences and bitmasks, with no object per path. Three callers read
+from it: ``rotation_closure`` wraps one given path into a
+``RotationFamily`` with ``BergePath`` witnesses (``hg rotate``);
+``find_good_set``'s rotation route takes only the terminal sets; and
+``check_rotation_bound`` closes every longest path straight from the
+walker's reused lists, building a path tuple only for a violation.
+Every closed base path is validated; under ``__debug__`` so is every
+rotated witness.
 """
 
 from __future__ import annotations
@@ -19,14 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .hypergraph import Hypergraph, bits, mask_of, neighborhood
+from .hypergraph import Hypergraph, bits, mask_of
 from .search import (
     Analysis,
     BergePath,
     SearchError,
+    _validate_seq,
+    _walk,
     analyze,
     find_berge_cycle,
-    iter_longest_paths,
     validate_path,
 )
 from .weights import _f_any
@@ -126,6 +137,61 @@ class RotationFamily:
     bound_rhs: int
 
 
+def _close(hg: Hypergraph, vs, es) -> tuple[int, dict, int]:
+    """The fixpoint of :func:`rotation_closure` for the path ``vs``/``es``
+    pinned at ``vs[0]``, on plain sequences.
+
+    Returns (terminal mask, far terminal -> (vertices, edges) witness,
+    number of the path's edges meeting the terminal set). ``vs`` and
+    ``es`` may be tuples or lists; the witnesses are slices of the same
+    type, and the base path itself is the witness of ``vs[-1]``.
+    """
+    edges = hg.edges
+    length = len(es)
+    terminals = 1 << vs[-1]
+    witnesses = {vs[-1]: (vs, es)}
+    if __debug__:
+        vmask, emask = mask_of(vs), mask_of(es)
+    j = 0
+    while j < length:
+        a, b = vs[j], vs[j + 1]
+        hit = edges[es[j]] & terminals
+        if not hit or (terminals >> a | terminals >> b) & 1:
+            j += 1
+            continue
+        qv, qe = witnesses[(hit & -hit).bit_length() - 1]
+        pos = qe.index(es[j])
+        x, y = qv[pos], qv[pos + 1]
+        if (1 << x | 1 << y) != (1 << a | 1 << b):
+            raise AssertionError("rotation invariant broken: segment drifted off its edge")
+        # qe[pos] is e_j: keep both prefixes through pos, reverse the tails
+        nv = qv[: pos + 1] + qv[:pos:-1]
+        ne = qe[: pos + 1] + qe[:pos:-1]
+        if __debug__:
+            _validate_seq(hg, nv, ne)
+            assert mask_of(nv) == vmask and mask_of(ne) == emask and nv[0] == vs[0]
+        witnesses[y] = (nv, ne)
+        terminals |= 1 << y
+        j = 0
+    lhs = 0
+    for e in es:
+        if edges[e] & terminals:
+            lhs += 1
+    return terminals, witnesses, lhs
+
+
+def _closures(a: Analysis) -> Iterator[tuple[list[int], list[int], int, int]]:
+    """(vertices, edges, terminals, lhs) of ``_close`` for every longest
+    path pinned at its first vertex, each path validated first. The two
+    lists are the walk's own, reused from one path to the next."""
+    hg = a.hg
+    for s in range(hg.n):
+        for vs, es in _walk(a, s, a.k):
+            _validate_seq(hg, vs, es)
+            terminals, _, lhs = _close(hg, vs, es)
+            yield vs, es, terminals, lhs
+
+
 def rotation_closure(hg: Hypergraph, path: BergePath, fixed_end: int) -> RotationFamily:
     """Grow the terminal set of ``path`` to its rotation fixpoint.
 
@@ -142,57 +208,25 @@ def rotation_closure(hg: Hypergraph, path: BergePath, fixed_end: int) -> Rotatio
         path = BergePath(tuple(reversed(path.vertices)), tuple(reversed(path.edges)))
     if fixed_end != path.vertices[0]:
         raise SearchError(f"fixed_end {fixed_end} is not a terminal of the path")
-
-    base = path
-    vs, es = base.vertices, base.edges
-    length = len(es)
-    far = vs[-1]
-    witnesses: dict[int, BergePath] = {far: base}
-    terminals = 1 << far
-
-    while True:
-        repaired = False
-        for j in range(length):
-            a, b = vs[j], vs[j + 1]
-            ej = es[j]
-            if terminals >> a & 1 or terminals >> b & 1:
-                continue
-            edge_mask = hg.edges[ej]
-            if not edge_mask & terminals:
-                continue
-            t = next(v for v in bits(edge_mask) if terminals >> v & 1)
-            q = witnesses[t]
-            pos = q.edges.index(ej)
-            x, y = q.vertices[pos], q.vertices[pos + 1]
-            if {x, y} != {a, b}:
-                raise AssertionError(
-                    "rotation invariant broken: segment drifted off its edge"
-                )
-            new_vs = q.vertices[: pos + 1] + tuple(reversed(q.vertices[pos + 1 :]))
-            new_es = q.edges[:pos] + (ej,) + tuple(reversed(q.edges[pos + 1 :]))
-            rotated = BergePath(new_vs, new_es)
-            if __debug__:
-                validate_path(hg, rotated)
-                assert set(rotated.vertices) == set(vs)
-                assert set(rotated.edges) == set(es)
-                assert rotated.vertices[0] == fixed_end
-            witnesses[y] = rotated
-            terminals |= 1 << y
-            repaired = True
-            break
-        if not repaired:
-            break
-
-    lhs = len(neighborhood(hg, es, terminals))
-    rhs = 2 * terminals.bit_count() - 1
+    terminals, witnesses, lhs = _close(hg, path.vertices, path.edges)
     return RotationFamily(
-        base=base,
+        base=path,
         fixed_end=fixed_end,
         terminals=terminals,
-        witnesses=witnesses,
+        witnesses={t: BergePath(vs, es) for t, (vs, es) in witnesses.items()},
         bound_lhs=lhs,
-        bound_rhs=rhs,
+        bound_rhs=2 * terminals.bit_count() - 1,
     )
+
+
+def check_rotation_bound(hg: Hypergraph | Analysis) -> str | None:
+    """Close every longest path at its first vertex; the detail of the first
+    path whose closure breaks |N_E(P)(tau)| <= 2|tau| - 1, or None."""
+    for vs, es, terminals, lhs in _closures(analyze(hg)):
+        rhs = 2 * terminals.bit_count() - 1
+        if lhs > rhs:
+            return f"path {tuple(vs)}/{tuple(es)}: |N_E(P)(tau)|={lhs} > 2|tau|-1={rhs}"
+    return None
 
 
 def find_good_set(hg: Hypergraph | Analysis) -> GoodSetCertificate:
@@ -227,9 +261,7 @@ def find_good_set(hg: Hypergraph | Analysis) -> GoodSetCertificate:
 
     candidates = []
     seen = set()
-    for path in iter_longest_paths(a):
-        family = rotation_closure(hg, path, path.vertices[0])
-        tau = family.terminals
+    for _, _, tau, _ in _closures(a):
         if tau in seen:
             continue
         seen.add(tau)

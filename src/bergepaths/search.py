@@ -102,21 +102,27 @@ class PathQuery:
 
 
 def validate_path(hg: Hypergraph, path: BergePath) -> None:
-    vs, es = path.vertices, path.edges
+    _validate_seq(hg, path.vertices, path.edges)
+
+
+def _validate_seq(hg: Hypergraph, vs, es) -> None:
+    """``validate_path`` on a vertex and an edge sequence (tuples or lists)."""
     if len(vs) != len(es) + 1:
         raise SearchError(f"path has {len(vs)} vertices for {len(es)} edges")
     if len(set(vs)) != len(vs):
-        raise SearchError(f"repeated vertex in path {vs}")
+        raise SearchError(f"repeated vertex in path {tuple(vs)}")
     if len(set(es)) != len(es):
-        raise SearchError(f"repeated edge in path {es}")
+        raise SearchError(f"repeated edge in path {tuple(es)}")
+    n, edges = hg.n, hg.edges
+    m = len(edges)
     for v in vs:
-        if not 0 <= v < hg.n:
-            raise SearchError(f"vertex {v} outside 0..{hg.n - 1}")
+        if not 0 <= v < n:
+            raise SearchError(f"vertex {v} outside 0..{n - 1}")
     for i, e in enumerate(es):
-        if not 0 <= e < hg.num_edges:
+        if not 0 <= e < m:
             raise SearchError(f"edge index {e} out of range")
         need = (1 << vs[i]) | (1 << vs[i + 1])
-        if hg.edges[e] & need != need:
+        if edges[e] & need != need:
             raise SearchError(f"edge {e} does not contain both {vs[i]} and {vs[i + 1]}")
 
 

@@ -19,7 +19,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 
-from .goodsets import check_spanning_cycle_property, enumerate_good_sets, rotation_closure
+from .goodsets import (
+    check_rotation_bound,
+    check_spanning_cycle_property,
+    enumerate_good_sets,
+)
 from .hypergraph import (
     MAX_EDGE_SLOTS,
     MAX_SEARCH_EDGE_SLOTS,
@@ -32,7 +36,6 @@ from .search import (
     PathQuery,
     analyze,
     has_path_with_endpoints,
-    iter_longest_paths,
     longest_path_length,
 )
 from .weights import NOT_EXTREMAL, classify_structure, format_fraction, weight_report
@@ -160,17 +163,9 @@ def _check_instance(a: Analysis, checks: frozenset[str]) -> tuple[str, list[tupl
                 )
 
     if "rotation_bound" in checks:
-        for path in iter_longest_paths(a):
-            fam = rotation_closure(hg, path, path.vertices[0])
-            if fam.bound_lhs > fam.bound_rhs:
-                failures.append(
-                    (
-                        "rotation_bound",
-                        f"path {path.vertices}/{path.edges}: |N_E(P)(tau)|={fam.bound_lhs}"
-                        f" > 2|tau|-1={fam.bound_rhs}",
-                    )
-                )
-                break
+        detail = check_rotation_bound(a)
+        if detail is not None:
+            failures.append(("rotation_bound", detail))
 
     if "spanning_cycle" in checks and connected:
         rep = check_spanning_cycle_property(a)

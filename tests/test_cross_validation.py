@@ -6,10 +6,18 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from bergepaths.goodsets import rotation_closure
-from bergepaths.hypergraph import Hypergraph, bits, hypergraph_from_subset, possible_edges
+from bergepaths import goodsets
+from bergepaths.goodsets import _close, check_rotation_bound, rotation_closure
+from bergepaths.hypergraph import (
+    Hypergraph,
+    bits,
+    hypergraph_from_subset,
+    neighborhood,
+    possible_edges,
+)
 from bergepaths.oracle import ORACLE_MAX_EDGES, _assignable, oracle_longest_path
 from bergepaths.search import (
+    BergePath,
     PathQuery,
     _max_len,
     analyze,
@@ -21,8 +29,9 @@ from bergepaths.search import (
     longest_path_length,
     p_edge,
     validate_cycle,
+    validate_path,
 )
-from bergepaths.verify import sample_mask
+from bergepaths.verify import _check_instance, sample_mask
 from bergepaths.weights import turan_exact
 
 
@@ -239,3 +248,102 @@ def test_rotation_closure_reaches_a_true_fixpoint(h):
             assert q.vertices[0] == fam.fixed_end and q.vertices[-1] == t
             assert sorted(q.vertices) == sorted(vs)
             assert sorted(q.edges) == sorted(es)
+
+
+def reference_rotation_closure(hg, path):
+    """The rotation closure of ``path`` pinned at its first vertex, kept
+    in its first, object-per-path form as a slow reference: BergePath
+    witnesses, a rescan from segment 0 after each repair and a full
+    validate_path of every rotated witness, with or without -O.
+
+    Returns (terminals, {terminal: witness}, |N_E(P)(tau)|)."""
+    validate_path(hg, path)
+    vs, es = path.vertices, path.edges
+    witnesses = {vs[-1]: path}
+    terminals = 1 << vs[-1]
+    while True:
+        repaired = False
+        for j in range(len(es)):
+            a, b = vs[j], vs[j + 1]
+            ej = es[j]
+            if terminals >> a & 1 or terminals >> b & 1:
+                continue
+            edge_mask = hg.edges[ej]
+            if not edge_mask & terminals:
+                continue
+            t = next(v for v in bits(edge_mask) if terminals >> v & 1)
+            q = witnesses[t]
+            pos = q.edges.index(ej)
+            x, y = q.vertices[pos], q.vertices[pos + 1]
+            assert {x, y} == {a, b}
+            rotated = BergePath(
+                q.vertices[: pos + 1] + tuple(reversed(q.vertices[pos + 1 :])),
+                q.edges[:pos] + (ej,) + tuple(reversed(q.edges[pos + 1 :])),
+            )
+            validate_path(hg, rotated)
+            if set(rotated.vertices) != set(vs) or set(rotated.edges) != set(es):
+                raise AssertionError(f"witness {rotated} left the base path {path}")
+            if rotated.vertices[0] != vs[0]:
+                raise AssertionError(f"witness {rotated} moved the fixed end")
+            witnesses[y] = rotated
+            terminals |= 1 << y
+            repaired = True
+            break
+        if not repaired:
+            return terminals, witnesses, len(neighborhood(hg, es, terminals))
+
+
+def rotation_reference_instances():
+    """Every (4,3) and (5,4) instance and every 5th (5,3) instance. At r = 3
+    a segment's edge meets tau in at most one vertex besides its flanks; the
+    (5,4) instances pin which terminal's witness a repair splits."""
+    yield from every_instance(4, 3)
+    yield from every_instance(5, 4)
+    for i, h in enumerate(every_instance(5, 3)):
+        if i % 5 == 0:
+            yield h
+
+
+def test_rotation_core_matches_the_reference():
+    """For every longest path, the core reaches the reference's terminal
+    set with the same witness for every terminal and the same count of
+    base edges meeting it; check_rotation_bound passes exactly when the
+    reference finds no path over 2|tau| - 1."""
+    paths = 0
+    for h in rotation_reference_instances():
+        over = False
+        for path in iter_longest_paths(h):
+            tau, witnesses, lhs = reference_rotation_closure(h, path)
+            got_tau, got_witnesses, got_lhs = _close(h, path.vertices, path.edges)
+            assert (got_tau, got_lhs) == (tau, lhs), (h, path)
+            assert {t: BergePath(*q) for t, q in got_witnesses.items()} == witnesses, (h, path)
+            over = over or lhs > 2 * tau.bit_count() - 1
+            paths += 1
+        assert (check_rotation_bound(h) is None) == (not over), h
+    assert paths > 80_000  # the comparison really ran over the dense instances
+
+
+def test_rotation_bound_violation_is_reported(monkeypatch):
+    """A closure over the bound on one path gives exactly one
+    rotation_bound failure, naming that path."""
+    h = hypergraph_from_subset(4, 3, possible_edges(4, 3), 0b1111)  # K_4^3
+    a = analyze(h)
+    target = list(iter_longest_paths(a))[5]
+    real_close = goodsets._close
+
+    def close_over_bound(hg, vs, es):
+        terminals, witnesses, lhs = real_close(hg, vs, es)
+        if (tuple(vs), tuple(es)) == (target.vertices, target.edges):
+            lhs = 2 * terminals.bit_count()
+        return terminals, witnesses, lhs
+
+    monkeypatch.setattr(goodsets, "_close", close_over_bound)
+    tau = rotation_closure(h, target, target.vertices[0]).terminals.bit_count()
+    _, failures = _check_instance(a, frozenset({"rotation_bound", "spanning_cycle"}))
+    assert failures == [
+        (
+            "rotation_bound",
+            f"path {target.vertices}/{target.edges}: |N_E(P)(tau)|={2 * tau}"
+            f" > 2|tau|-1={2 * tau - 1}",
+        )
+    ]

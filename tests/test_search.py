@@ -17,6 +17,7 @@ from bergepaths.search import (
     BergePath,
     PathQuery,
     SearchError,
+    _validate_seq,
     analyze,
     find_berge_cycle,
     has_berge_cycle,
@@ -79,6 +80,35 @@ class TestLongestPath:
     def test_render(self):
         _, w = longest_berge_path(CHAIN2)
         assert render_path(w) == "v0 -e0- v2 -e1- v3"
+
+
+class TestValidatePath:
+    # CHAIN2: e0 = {0, 1, 2}, e1 = {2, 3, 4}
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            ((0, 2), (), "path has 2 vertices for 0 edges"),
+            ((0, 2, 0), (0, 1), "repeated vertex in path (0, 2, 0)"),
+            ((0, 1, 2), (0, 0), "repeated edge in path (0, 0)"),
+            ((0, 2, 5), (0, 1), "vertex 5 outside 0..4"),
+            ((-1, 2), (0,), "vertex -1 outside 0..4"),
+            ((0, 2, 3), (0, 2), "edge index 2 out of range"),
+            ((0, 2), (-1,), "edge index -1 out of range"),
+            ((0, 2, 3), (1, 0), "edge 1 does not contain both 0 and 2"),
+        ],
+    )
+    def test_each_error_message(self, vertices, edges, message):
+        with pytest.raises(SearchError) as tuple_err:
+            validate_path(CHAIN2, BergePath(vertices, edges))
+        assert str(tuple_err.value) == message
+        # the walker's reused lists take the same body and give the same text
+        with pytest.raises(SearchError) as list_err:
+            _validate_seq(CHAIN2, list(vertices), list(edges))
+        assert str(list_err.value) == message
+
+    def test_valid_path_passes(self):
+        validate_path(CHAIN2, BergePath((0, 2, 3), (0, 1)))
+        _validate_seq(CHAIN2, [1], [])
 
 
 class TestPEdge:
