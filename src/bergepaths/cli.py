@@ -137,7 +137,7 @@ def cmd_verify(args) -> int:
         connected_only=args.connected,
         checks=checks,
         sample_count=args.sample,
-        seed=args.seed if args.sample is not None else None,
+        seed=args.seed,
     )
     started = time.monotonic()
     report = run_sweep(cfg, workers=args.workers)

@@ -42,6 +42,8 @@ from .search import (
 )
 from .weights import _f_any
 
+MAX_SCAN_VERTICES = 20  # a subset scan visits all 2^n vertex sets
+
 
 class GoodSetError(ValueError):
     pass
@@ -102,8 +104,8 @@ def enumerate_good_sets(hg: Hypergraph | Analysis) -> Iterator[GoodSetCertificat
     """
     a = analyze(hg)
     hg = a.hg
-    if hg.n > 20:
-        raise GoodSetError(f"subset scan over 2^{hg.n} sets refused (n > 20)")
+    if hg.n > MAX_SCAN_VERTICES:
+        raise GoodSetError(f"subset scan over 2^{hg.n} sets refused (n > {MAX_SCAN_VERTICES})")
     if hg.r < 3:
         raise GoodSetError(f"good sets need r >= 3, got r={hg.r}")
     if hg.num_edges == 0:
@@ -271,8 +273,6 @@ def find_good_set(hg: Hypergraph | Analysis) -> GoodSetCertificate:
     if candidates:
         return min(candidates, key=lambda c: (c.size, c.S))
 
-    if hg.n > 20:
-        raise GoodSetError("rotation routes failed and n > 20 blocks the subset scan")
     for cert in enumerate_good_sets(a):
         return cert
     raise AssertionError("no good set found; contradicts the existence theorems")

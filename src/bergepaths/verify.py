@@ -5,10 +5,12 @@ per-instance checks, and aggregates order-independent counters plus a
 capped, sorted violation list, so reports are byte-identical no matter
 how the index range is partitioned across workers.
 
-Sampling uses the "sha256-ctr" generator: instance ``index`` under
-``seed`` draws the edge-subset bitmask from the leading bits of
-SHA-256("{seed}:{index}:{block}") blocks, uniform over all subsets and
-reproducible without any sampler state.
+Instances come from one source, ``instances``: index i is edge subset i,
+or under sampling the "sha256-ctr" draw, the edge-subset bitmask from the
+leading bits of SHA-256("{seed}:{i}:{block}") blocks, uniform over all
+subsets and reproducible without any sampler state. The (r+1)-vertex
+path claim has one body, ``_coro_path``, read by the ``coro_path`` sweep
+check and by ``coro_path_check``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from .goodsets import (
     check_rotation_bound,
@@ -114,13 +118,9 @@ class SweepReport:
 def sample_mask(seed: int, index: int, bits: int) -> int:
     """Uniform ``bits``-bit integer from the sha256-ctr stream for (seed, index)."""
     out = 0
-    produced = 0
-    block = 0
-    while produced < bits:
+    for block in range(-(-bits // 256)):
         digest = hashlib.sha256(f"{seed}:{index}:{block}".encode()).digest()
-        out |= int.from_bytes(digest, "big") << produced
-        produced += 256
-        block += 1
+        out |= int.from_bytes(digest, "big") << 256 * block
     return out & ((1 << bits) - 1)
 
 
@@ -172,36 +172,58 @@ def _check_instance(a: Analysis, checks: frozenset[str]) -> tuple[str, list[tupl
         if not rep.passed:
             failures.append(("spanning_cycle", rep.detail))
 
-    if "coro_path" in checks and hg.n == hg.r + 1 and 1 <= hg.num_edges < hg.r:
+    if "coro_path" in checks:
+        starts, pairs, _ = _coro_path(a)
+        failures.extend(("coro_path", detail) for _, detail in starts)
         m = hg.num_edges
-        for v in range(hg.n):
-            expected = True if m >= 2 else bool(hg.edges[0] >> v & 1)
-            got = longest_path_length(a, PathQuery(required_endpoint=v, target_length=m)) >= m
-            if got != expected:
-                failures.append(
-                    (
-                        "coro_path",
-                        f"length-{m} path starting at v{v}: expected {expected}, got {got}",
-                    )
-                )
+        failures.extend(("coro_path", f"no length-{m} path joins v{u} and v{w}") for u, w in pairs)
 
     return cls, failures
 
 
-def _run_block(cfg: SweepConfig, start: int, end: int):
+def _coro_path(a: Analysis) -> tuple[list[tuple[int, str]], list[tuple[int, int]], list[int]]:
+    """Start failures (v, detail), pair failures (u, w) and uncovered single-edge
+    starts v of the ``CoroPathReport`` claim; all empty unless n = r+1, 1 <= |E| < r."""
+    hg = a.hg
+    m = hg.num_edges
+    starts, pairs, uncovered = [], [], []
+    if hg.n != hg.r + 1 or not 1 <= m < hg.r:
+        return starts, pairs, uncovered
+    for v in range(hg.n):
+        expected = m >= 2 or bool(hg.edges[0] >> v & 1)
+        got = longest_path_length(a, PathQuery(required_endpoint=v, target_length=m)) >= m
+        if got != expected:
+            starts.append((v, f"length-{m} path starting at v{v}: expected {expected}, got {got}"))
+        elif not expected:
+            uncovered.append(v)
+    if hg.r >= 4 and m >= 2:
+        pairs = [p for p in combinations(range(hg.n), 2) if not has_path_with_endpoints(a, *p, m)]
+    return starts, pairs, uncovered
+
+
+def index_count(cfg: SweepConfig) -> int:
+    return (1 << comb(cfg.n, cfg.r)) if cfg.mode == "exhaustive" else cfg.sample_count
+
+
+def instances(cfg: SweepConfig, start: int = 0, end: int | None = None) -> Iterator[Analysis]:
+    """The analysed instances of indices ``start..end-1`` (default: all) in
+    index order, leaving out disconnected ones under ``connected_only``."""
     slots = possible_edges(cfg.n, cfg.r)
+    for index in range(start, index_count(cfg) if end is None else end):
+        subset = index
+        if cfg.mode == "sample":
+            subset = sample_mask(cfg.seed, index, len(slots))
+        a = analyze(hypergraph_from_subset(cfg.n, cfg.r, slots, subset))
+        if not cfg.connected_only or a.connected:
+            yield a
+
+
+def _run_block(cfg: SweepConfig, start: int, end: int):
     checks = frozenset(cfg.checks)
     census = {key: 0 for key in CENSUS_KEYS}
     violations: list[Violation] = []
     checked = 0
-    for index in range(start, end):
-        if cfg.mode == "exhaustive":
-            subset = index
-        else:
-            subset = sample_mask(cfg.seed, index, len(slots))
-        a = analyze(hypergraph_from_subset(cfg.n, cfg.r, slots, subset))
-        if cfg.connected_only and not a.connected:
-            continue
+    for a in instances(cfg, start, end):
         checked += 1
         cls, failures = _check_instance(a, checks)
         census[cls] += 1
@@ -222,8 +244,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
     if not 1 <= workers <= MAX_WORKERS:
         raise SweepConfigError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     validate_config(cfg)
-    slots = possible_edges(cfg.n, cfg.r)
-    total = (1 << len(slots)) if cfg.mode == "exhaustive" else cfg.sample_count
+    total = index_count(cfg)
     if workers == 1 or total < 2 * workers:
         parts = [_run_block(cfg, 0, total)]
     else:
@@ -309,39 +330,18 @@ class CoroPathReport:
 
 
 def coro_path_check(r: int) -> CoroPathReport:
-    """Exhaustively check length-|E| path existence on n = r+1 vertices.
-
-    Enumerates every labeled edge subset of size 1..r-1 and every start
-    vertex; for r >= 4 also every vertex pair as required terminals.
-    """
+    """Exhaustively check length-|E| path existence on n = r+1 vertices:
+    ``_coro_path`` on every labeled edge subset of size 1..r-1."""
     if not 3 <= r <= 6:
         raise SweepConfigError(f"coro_path_check supports r in 3..6, got {r}")
-    n = r + 1
-    slots = possible_edges(n, r)
     report = CoroPathReport(r=r)
-    for subset in range(1, 1 << len(slots)):
-        m = subset.bit_count()
-        if not 1 <= m < r:
+    for a in instances(SweepConfig(n=r + 1, r=r, mode="exhaustive")):
+        if not 1 <= a.hg.num_edges < r:
             continue
-        hg = hypergraph_from_subset(n, r, slots, subset)
         report.instances += 1
-        text = serialize_hypergraph(hg)
-        for v in range(n):
-            found = longest_path_length(hg, PathQuery(required_endpoint=v, target_length=m)) >= m
-            if m == 1 and not hg.edges[0] >> v & 1:
-                if found:
-                    report.start_failures.append(
-                        {"hg": text, "vertex": v, "detail": "path found from uncovered vertex"}
-                    )
-                else:
-                    report.e1_discrepancy.append({"hg": text, "vertex": v})
-            elif not found:
-                report.start_failures.append(
-                    {"hg": text, "vertex": v, "detail": f"no length-{m} path starts here"}
-                )
-        if r >= 4 and m >= 2:
-            for u in range(n):
-                for w in range(u + 1, n):
-                    if not has_path_with_endpoints(hg, u, w, m):
-                        report.pair_failures.append({"hg": text, "pair": [u, w]})
+        text = serialize_hypergraph(a.hg)
+        starts, pairs, uncovered = _coro_path(a)
+        report.start_failures.extend({"hg": text, "vertex": v, "detail": d} for v, d in starts)
+        report.e1_discrepancy.extend({"hg": text, "vertex": v} for v in uncovered)
+        report.pair_failures.extend({"hg": text, "pair": [u, w]} for u, w in pairs)
     return report

@@ -102,6 +102,11 @@ def test_verify_sample_requires_seed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_verify_exhaustive_rejects_seed(capsys):
+    assert main(["verify", "--n", "4", "--r", "3", "--exhaustive", "--seed", "5"]) == 2
+    assert "exhaustive mode takes no sample_count/seed" in capsys.readouterr().err
+
+
 def test_verify_rejects_worker_count_out_of_range(capsys):
     # 10 instances never reach the process pool, whatever the worker count
     argv = ["verify", "--n", "4", "--r", "3", "--sample", "10", "--seed", "1"]
@@ -116,6 +121,13 @@ def test_gapcheck_table(capsys):
     out = capsys.readouterr().out
     assert "k=6" in out and "(equality)" in out
     assert "FAILS" not in out
+
+
+def test_goodset_all_refuses_a_21_vertex_scan(tmp_path, capsys):
+    path = tmp_path / "wide.hg"
+    path.write_text("21 3\n0 1 2\n")
+    assert main(["goodset", str(path), "--all"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_missing_file_reports_error(capsys):

@@ -31,24 +31,19 @@ from bergepaths.search import (
     validate_cycle,
     validate_path,
 )
-from bergepaths.verify import _check_instance, sample_mask
+from bergepaths.verify import SweepConfig, _check_instance, instances
 from bergepaths.weights import turan_exact
 
 
 def every_instance(n, r):
-    slots = possible_edges(n, r)
-    for subset in range(1 << len(slots)):
-        yield hypergraph_from_subset(n, r, slots, subset)
+    return (a.hg for a in instances(SweepConfig(n=n, r=r, mode="exhaustive")))
 
 
 def test_anchored_p_table_matches_vertex_start_search():
     """The p-table, grown outward from each edge, equals the search from
     every start vertex that counts only the paths using the edge."""
-    slots = possible_edges(6, 3)
-    sampled = (
-        hypergraph_from_subset(6, 3, slots, sample_mask(11, index, len(slots)))
-        for index in range(300)
-    )
+    sample = SweepConfig(n=6, r=3, mode="sample", sample_count=300, seed=11)
+    sampled = (a.hg for a in instances(sample))
     cases = itertools.chain(
         every_instance(4, 3), every_instance(5, 3), every_instance(5, 4), sampled
     )
@@ -158,17 +153,16 @@ def brute_force_cycle_exists(hg, length):
 
 
 def test_cycle_kernel_matches_brute_force_exhaustively():
-    slots = possible_edges(5, 3)
-    for size in range(0, 5):
-        for combo in itertools.combinations(range(len(slots)), size):
-            hg = Hypergraph(5, 3, tuple(slots[i] for i in combo))
-            for length in range(2, size + 1):
-                expected = brute_force_cycle_exists(hg, length)
-                assert has_berge_cycle(hg, length) == expected, (hg, length)
-                witness = find_berge_cycle(hg, length)
-                assert (witness is not None) == expected
-                if witness is not None:
-                    validate_cycle(hg, witness)
+    for hg in every_instance(5, 3):
+        if hg.num_edges > 4:
+            continue
+        for length in range(2, hg.num_edges + 1):
+            expected = brute_force_cycle_exists(hg, length)
+            assert has_berge_cycle(hg, length) == expected, (hg, length)
+            witness = find_berge_cycle(hg, length)
+            assert (witness is not None) == expected
+            if witness is not None:
+                validate_cycle(hg, witness)
 
 
 def brute_force_least_sequence(hg, num_vertices, length):
@@ -190,9 +184,7 @@ def brute_force_least_sequence(hg, num_vertices, length):
 def test_cycle_witness_is_the_least_over_all_sequences():
     cases = [(4, 3, 1), (5, 4, 1), (5, 3, 3)]
     for n, r, stride in cases:
-        slots = possible_edges(n, r)
-        for subset in range(0, 1 << len(slots), stride):
-            hg = hypergraph_from_subset(n, r, slots, subset)
+        for hg in itertools.islice(every_instance(n, r), None, None, stride):
             for length in range(2, n + 1):
                 witness = find_berge_cycle(hg, length)
                 got = None if witness is None else (witness.vertices, witness.edges)
@@ -202,9 +194,7 @@ def test_cycle_witness_is_the_least_over_all_sequences():
 def test_path_witness_is_the_least_over_all_sequences():
     cases = [(4, 3, 1), (5, 4, 1), (5, 3, 3)]
     for n, r, stride in cases:
-        slots = possible_edges(n, r)
-        for subset in range(0, 1 << len(slots), stride):
-            hg = hypergraph_from_subset(n, r, slots, subset)
+        for hg in itertools.islice(every_instance(n, r), None, None, stride):
             if hg.num_edges <= ORACLE_MAX_EDGES:
                 k = oracle_longest_path(hg)
             else:
@@ -299,9 +289,7 @@ def rotation_reference_instances():
     (5,4) instances pin which terminal's witness a repair splits."""
     yield from every_instance(4, 3)
     yield from every_instance(5, 4)
-    for i, h in enumerate(every_instance(5, 3)):
-        if i % 5 == 0:
-            yield h
+    yield from itertools.islice(every_instance(5, 3), None, None, 5)
 
 
 def test_rotation_core_matches_the_reference():

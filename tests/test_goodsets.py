@@ -8,15 +8,9 @@ from bergepaths.goodsets import (
     is_good_set,
     rotation_closure,
 )
-from bergepaths.hypergraph import (
-    complete_hypergraph,
-    from_edge_lists,
-    hypergraph_from_subset,
-    is_connected,
-    mask_of,
-    possible_edges,
-)
+from bergepaths.hypergraph import complete_hypergraph, from_edge_lists, mask_of
 from bergepaths.search import BergePath, SearchError, iter_longest_paths, longest_path_length
+from bergepaths.verify import SweepConfig, instances
 from bergepaths.weights import f_r
 
 
@@ -75,6 +69,10 @@ class TestEnumerate:
     def test_increasing_bitmask_order(self):
         ss = [c.S for c in enumerate_good_sets(K43)]
         assert ss == sorted(ss)
+
+    def test_scan_refused_past_20_vertices(self):
+        with pytest.raises(GoodSetError):
+            enumerate_good_sets(hg(21, 3, [0, 1, 2]))
 
 
 class TestRotationClosure:
@@ -147,11 +145,8 @@ def test_good_set_existence_and_patterns_exhaustive(n):
     """Connected instances with 1 < k <= r admit a good set matching one of
     the four structural patterns; k = 1 and k > r also stay nonempty."""
     r = 3
-    slots = possible_edges(n, r)
-    for subset in range(1, 1 << len(slots)):
-        h = hypergraph_from_subset(n, r, slots, subset)
-        if not is_connected(h):
-            continue
+    for a in instances(SweepConfig(n=n, r=r, mode="exhaustive", connected_only=True)):
+        h = a.hg
         certs = list(enumerate_good_sets(h))
         assert certs, h
         k = longest_path_length(h)

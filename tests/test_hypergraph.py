@@ -9,7 +9,6 @@ from bergepaths.hypergraph import (
     components,
     delete_vertices,
     from_edge_lists,
-    hypergraph_from_subset,
     is_connected,
     mask_of,
     neighborhood,
@@ -17,6 +16,7 @@ from bergepaths.hypergraph import (
     possible_edges,
     serialize_hypergraph,
 )
+from bergepaths.verify import SweepConfig, instances
 
 
 def hg(n, r, *edges):
@@ -136,13 +136,11 @@ class TestConstructions:
     @pytest.mark.parametrize("n,r,count", [(3, 3, 2), (4, 3, 16), (5, 3, 1024)])
     def test_enumeration_counts(self, n, r, count):
         # each subset mask of the possible edges builds a distinct labeled instance
-        slots = possible_edges(n, r)
-        built = {hypergraph_from_subset(n, r, slots, s) for s in range(1 << len(slots))}
+        built = {a.hg for a in instances(SweepConfig(n=n, r=r, mode="exhaustive"))}
         assert len(built) == count
 
     def test_enumeration_connected_only(self):
-        slots = possible_edges(4, 3)
-        built = [hypergraph_from_subset(4, 3, slots, s) for s in range(1 << len(slots))]
+        built = [a.hg for a in instances(SweepConfig(n=4, r=3, mode="exhaustive"))]
         # needs all 4 vertices covered: at least 2 of the 4 triples
         assert sum(is_connected(h) for h in built) == 11  # C(4,2)+C(4,3)+1
 

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +27,7 @@ from bergepaths.search import (
     render_path,
     validate_path,
 )
+from bergepaths.verify import SweepConfig, instances
 from bergepaths.weights import classify_structure
 
 
@@ -277,10 +276,8 @@ def test_every_enumerated_longest_path_is_valid(h):
 
 def test_exhaustive_oracle_equivalence_tiny():
     # every hypergraph on 4 vertices, r=3, up to all 4 edges
-    slots = possible_edges(4, 3)
-    for size in range(len(slots) + 1):
-        for combo in itertools.combinations(range(len(slots)), size):
-            h = Hypergraph(4, 3, tuple(slots[i] for i in combo))
-            k, pvals = oracle_length_table(h)
-            assert longest_path_length(h) == k
-            assert analyze(h).p_values == pvals
+    for a in instances(SweepConfig(n=4, r=3, mode="exhaustive")):
+        h = a.hg
+        k, pvals = oracle_length_table(h)
+        assert longest_path_length(h) == k
+        assert analyze(h).p_values == pvals

@@ -3,11 +3,15 @@ from math import comb
 
 import pytest
 
+from bergepaths import verify
+from bergepaths.hypergraph import hypergraph_from_subset, possible_edges, serialize_hypergraph
 from bergepaths.verify import (
     MAX_WORKERS,
     SweepConfig,
     SweepConfigError,
     coro_path_check,
+    index_count,
+    instances,
     report_read,
     report_to_dict,
     report_write,
@@ -15,6 +19,10 @@ from bergepaths.verify import (
     sample_mask,
     validate_config,
 )
+
+
+def built(cfg, *span):
+    return [a.hg for a in instances(cfg, *span)]
 
 
 class TestConfig:
@@ -57,6 +65,30 @@ class TestSampleMask:
         wide = sample_mask(3, 0, 300)
         assert wide.bit_length() <= 300
         assert wide >> 250  # astronomically unlikely to have 50 leading zeros
+
+
+class TestInstances:
+    def test_index_is_the_subset_or_its_draw(self):
+        slots = possible_edges(4, 3)
+        exhaustive = SweepConfig(n=4, r=3, mode="exhaustive")
+        assert built(exhaustive) == [hypergraph_from_subset(4, 3, slots, i) for i in range(16)]
+        sample = SweepConfig(n=4, r=3, mode="sample", sample_count=30, seed=8)
+        draws = [sample_mask(8, i, len(slots)) for i in range(30)]
+        assert built(sample) == [hypergraph_from_subset(4, 3, slots, m) for m in draws]
+        assert len(built(SweepConfig(n=4, r=3, mode="exhaustive", connected_only=True))) == 11
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SweepConfig(n=4, r=3, mode="exhaustive"),
+            SweepConfig(n=5, r=3, mode="sample", connected_only=True, sample_count=40, seed=2),
+        ],
+    )
+    def test_split_blocks_concatenate(self, cfg):
+        # what keeps reports byte-identical across worker counts
+        total = index_count(cfg)
+        for s in range(total + 1):
+            assert built(cfg, 0, s) + built(cfg, s, total) == built(cfg)
 
 
 class TestSweep:
@@ -174,6 +206,33 @@ class TestCoroPath:
     def test_r_out_of_range(self):
         with pytest.raises(SweepConfigError):
             coro_path_check(7)
+
+    def test_start_failure_reaches_both_callers(self, monkeypatch):
+        text = "4 3\n0 1 2\n0 1 3\n"
+        real = verify.longest_path_length
+
+        def lie_at_v3(a, query):
+            lie = serialize_hypergraph(a.hg) == text and query.required_endpoint == 3
+            return 0 if lie else real(a, query)
+
+        monkeypatch.setattr(verify, "longest_path_length", lie_at_v3)
+        rep = run_sweep(SweepConfig(n=4, r=3, mode="exhaustive", checks=("coro_path",)))
+        detail = "length-2 path starting at v3: expected True, got False"
+        assert [(v.hg, v.check, v.detail) for v in rep.violations] == [(text, "coro_path", detail)]
+        assert coro_path_check(3).start_failures == [{"hg": text, "vertex": 3, "detail": detail}]
+
+    def test_pair_failure_reaches_both_callers(self, monkeypatch):
+        text = "5 4\n0 1 2 3\n0 1 2 4\n"
+        real = verify.has_path_with_endpoints
+
+        def lie_at_v0_v4(a, u, w, length):
+            return (serialize_hypergraph(a.hg), u, w) != (text, 0, 4) and real(a, u, w, length)
+
+        monkeypatch.setattr(verify, "has_path_with_endpoints", lie_at_v0_v4)
+        rep = run_sweep(SweepConfig(n=5, r=4, mode="exhaustive", checks=("coro_path",)))
+        detail = "no length-2 path joins v0 and v4"
+        assert [(v.hg, v.check, v.detail) for v in rep.violations] == [(text, "coro_path", detail)]
+        assert coro_path_check(4).pair_failures == [{"hg": text, "pair": [0, 4]}]
 
 
 def test_report_json_is_parseable_and_sorted(tmp_path):
