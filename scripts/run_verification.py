@@ -74,12 +74,17 @@ def main() -> int:
             failures += 1
 
     banner("Turan table")
-    for n, r, k in [(5, 3, 3), (4, 3, 4), (6, 3, 4), (5, 3, 4), (6, 3, 5)]:
+    cells = [(5, 3, 3), (4, 3, 4), (6, 3, 4), (5, 3, 4), (6, 3, 5), (7, 5, 6), (8, 6, 6)]
+    for n, r, k in cells:
         res = turan_exact(n, r, k)
         print(
             f"ex_{r}({n}, BP_{k}) = {res.exact}"
             f"  (bound {format_fraction(res.paper_bound)})"
         )
+        faults = res.faults()
+        for fault in faults:
+            print(f"FAIL: {fault}")
+        failures += len(faults)
 
     banner("gap inequality r in 3..8, k up to 40")
     bad = []

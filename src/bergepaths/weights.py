@@ -152,6 +152,18 @@ class TuranResult:
     paper_bound: Fraction
     witness: Hypergraph
 
+    def faults(self) -> list[str]:
+        """Why this row fails, if it does: ``exact`` over the paper's bound,
+        or a witness that is not a BP_k-free set of ``exact`` edges."""
+        out = []
+        if self.exact > self.paper_bound:
+            out.append(f"exact {self.exact} exceeds bound {format_fraction(self.paper_bound)}")
+        if self.witness.num_edges != self.exact:
+            out.append(f"witness has {self.witness.num_edges} edges, not {self.exact}")
+        if analyze(self.witness).k >= self.k:
+            out.append(f"witness has a Berge path of length {self.k}")
+        return out
+
 
 def turan_exact(n: int, r: int, k: int) -> TuranResult:
     """Maximum edge count of an n-vertex r-uniform hypergraph with no
@@ -161,48 +173,87 @@ def turan_exact(n: int, r: int, k: int) -> TuranResult:
     path must use the added edge, so a branch is abandoned as soon as
     including an edge creates one. The bound n*f_r(k-1) applies for
     2 < k <= r and for k >= r+1.
+
+    Call an edge set free when it has no Berge path of length k. Being
+    free is invariant under relabelling the vertices, and the first of
+    two passes uses that to find the exact value. Any one edge can be
+    relabelled to slot 0 = {0..r-1}, and one edge alone is free as k >= 2,
+    so ``exact`` >= 1 once there is a slot. A free set with
+    two or more edges has a pair meeting in the most vertices, t; the
+    stabilizer of slot 0 acts transitively on the slots meeting it in t
+    vertices, so that pair can be relabelled to slot 0 and c_t, the least
+    slot meeting slot 0 in exactly t vertices. ``exact`` is therefore the
+    best of 1 and, for each t in r-1..0 that has a c_t, the largest free
+    set holding slot 0 and c_t whose edges pairwise meet in at most t
+    vertices.
+
+    The second pass recovers the witness of the plain search over every
+    labelled subset: slots in order, including each before excluding it,
+    keeping the first set larger than all before it. That set is the
+    first one of ``exact`` edges in this preorder, so the pass searches
+    with the target ``exact`` and stops at its first hit.
     """
     if r < 3:
         raise ValueError(f"turan_exact requires r >= 3, got r={r}")
     if k < 2:
         raise ValueError(f"turan_exact requires k >= 2, got k={k}")
-    slots = possible_edges(n, r)
-    if len(slots) > MAX_EDGE_SLOTS:
+    if comb(n, r) > MAX_EDGE_SLOTS:
         raise HypergraphError(
-            f"C({n},{r}) = {len(slots)} edge slots exceed cap {MAX_EDGE_SLOTS}"
+            f"C({n},{r}) = {comb(n, r)} edge slots exceed cap {MAX_EDGE_SLOTS}"
         )
+    slots = possible_edges(n, r)
     m = len(slots)
     full = (1 << m) - 1
     pool = analyze(Hypergraph(n, r, slots))
-    best_count = -1
+    best_count = min(m, 1)  # one edge alone is free, as k >= 2
     best_subset = 0
 
-    def dfs(idx: int, chosen: int, count: int) -> None:
+    def free(chosen: int) -> bool:
+        # chosen less its newest slot holds no length-k path, so every
+        # length-k path of chosen uses that slot. The search still seeds
+        # from vertices, not from the slot: these queries mostly refute a
+        # path, and refuting one grown outward from the slot visits every
+        # (suffix, prefix) pair around it.
+        return _max_len(pool, stop_at=k, floor=k - 1, excluded_edges=full & ~chosen) < k
+
+    def grow(avail: int, chosen: int, count: int, conflicts: list[int], goal: int) -> bool:
+        # Visits the free supersets of chosen within avail, lowest slot
+        # first and included before excluded; conflicts[i] holds the slots
+        # that may not join slot i. True once a set of goal edges is found.
         nonlocal best_count, best_subset
         if count > best_count:
             best_count = count
             best_subset = chosen
-        if idx == m or count + (m - idx) <= best_count:
-            return
-        with_idx = chosen | (1 << idx)
-        # chosen holds no length-k path, so every length-k path of
-        # chosen + {idx} uses idx and no edge needs to be required. The search
-        # seeds from vertices, not from idx: these queries mostly refute a
-        # path, and refuting one grown outward from idx visits every
-        # (suffix, prefix) pair around it. Search nodes went up from 44,469
-        # to 81,170 at (6,4,5) and from 168,596 to 169,375 at (7,5,5); only
-        # (6,3,4) went down, from 51,506 to 31,531.
-        excluded = full & ~with_idx
-        if _max_len(pool, stop_at=k, floor=k - 1, excluded_edges=excluded) < k:
-            dfs(idx + 1, with_idx, count + 1)
-        dfs(idx + 1, chosen, count)
+            if count >= goal:
+                return True
+        if count + avail.bit_count() <= best_count:
+            return False
+        low = avail & -avail
+        rest = avail ^ low
+        with_low = chosen | low
+        if free(with_low):
+            i = low.bit_length() - 1
+            if grow(rest & ~conflicts[i], with_low, count + 1, conflicts, goal):
+                return True
+        return grow(rest, chosen, count, conflicts, goal)
 
-    dfs(0, 0, 0)
+    for t in range(r - 1, -1, -1):
+        c_t = next((i for i in range(m) if (slots[i] & slots[0]).bit_count() == t), None)
+        if c_t is None or not free(pair := 1 | 1 << c_t):
+            continue
+        conflicts = [
+            sum(1 << j for j in range(m) if (slots[i] & slots[j]).bit_count() > t)
+            for i in range(m)
+        ]
+        grow(full & ~pair & ~conflicts[0] & ~conflicts[c_t], pair, 2, conflicts, m)
+    exact = best_count
+    best_count = -1
+    grow(full, 0, 0, [0] * m, exact)
     return TuranResult(
         n=n,
         r=r,
         k=k,
-        exact=best_count,
+        exact=exact,
         paper_bound=n * f_r(r, k - 1),
         witness=hypergraph_from_subset(n, r, slots, best_subset),
     )

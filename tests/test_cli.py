@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bergepaths import weights
 from bergepaths.cli import main
 from bergepaths.hypergraph import complete_hypergraph, serialize_hypergraph
 
@@ -72,6 +73,16 @@ def test_turan(capsys):
     assert main(["turan", "--n", "5", "--r", "3", "--k", "3"]) == 0
     out = capsys.readouterr().out
     assert "ex_3(5, BP_3) = 2" in out and "5/2" in out
+
+
+def test_turan_refuses_too_many_slots_before_building_them(monkeypatch, capsys):
+    # C(40, 20) slots would not fit in memory: the cap must be checked first
+    def no_slots(n, r):
+        raise AssertionError(f"built the slots of C({n},{r})")
+
+    monkeypatch.setattr(weights, "possible_edges", no_slots)
+    assert main(["turan", "--n", "40", "--r", "20", "--k", "3"]) == 2
+    assert "error: C(40,20) = 137846528820 edge slots exceed cap 30" in capsys.readouterr().err
 
 
 def test_verify_exhaustive_with_report(tmp_path, capsys):

@@ -125,6 +125,54 @@ def test_turan_exact_matches_subset_brute_force():
             assert longest_path_length(res.witness) < k
 
 
+def reference_turan_exact(n, r, k):
+    """ex_r(n, BP_k) and its witness edges by the plain branch and bound
+    over every labelled edge subset, kept as a slow reference: slots in
+    order, each included before it is excluded, keeping the first set
+    larger than all before it."""
+    slots = possible_edges(n, r)
+    m = len(slots)
+    full = (1 << m) - 1
+    pool = analyze(Hypergraph(n, r, slots))
+    best_count, best_subset = -1, 0
+
+    def dfs(idx, chosen, count):
+        nonlocal best_count, best_subset
+        if count > best_count:
+            best_count, best_subset = count, chosen
+        if idx == m or count + (m - idx) <= best_count:
+            return
+        with_idx = chosen | (1 << idx)
+        if _max_len(pool, stop_at=k, floor=k - 1, excluded_edges=full & ~with_idx) < k:
+            dfs(idx + 1, with_idx, count + 1)
+        dfs(idx + 1, chosen, count)
+
+    dfs(0, 0, 0)
+    return best_count, [slots[i] for i in bits(best_subset)]
+
+
+def turan_reference_cells():
+    """Every cell with r >= 3, n <= 7, C(n, r) <= 21 and k = 2..n+1 but
+    (6,3,5) and (7,5,6), which take seconds in the reference. (6,3,2) is
+    the one whose optimum, two disjoint edges, holds no pair meeting in
+    t > 0 vertices. (2,3,2) and (0,3,2) have no slots at all."""
+    for r in range(3, 8):
+        for n in range(r, 8):
+            if len(possible_edges(n, r)) <= 21:
+                for k in range(2, n + 2):
+                    if (n, r, k) not in ((6, 3, 5), (7, 5, 6)):
+                        yield n, r, k
+    yield from ((2, 3, 2), (0, 3, 2))
+
+
+def test_turan_exact_matches_the_reference():
+    """The symmetry-reduced search gives the reference's value and the
+    reference's witness, edge for edge."""
+    for n, r, k in turan_reference_cells():
+        res = turan_exact(n, r, k)
+        assert (res.exact, list(res.witness.edges)) == reference_turan_exact(n, r, k), (n, r, k)
+
+
 def brute_force_cycle_exists(hg, length):
     """Permutation-and-assignment cycle search, no shared code with the engine."""
     edge_verts = [tuple(bits(e)) for e in hg.edges]
