@@ -129,7 +129,8 @@ def cmd_turan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = tuple(args.checks.split(",")) if args.checks else CHECK_NAMES
+    # "" is a list too (of one empty name), which validate_config refuses
+    checks = CHECK_NAMES if args.checks is None else tuple(args.checks.split(","))
     cfg = SweepConfig(
         n=args.n,
         r=args.r,

@@ -40,7 +40,7 @@ from .search import (
     find_berge_cycle,
     validate_path,
 )
-from .weights import _f_any
+from .weights import _f_parts
 
 MAX_SCAN_VERTICES = 20  # a subset scan visits all 2^n vertex sets
 
@@ -80,20 +80,21 @@ def is_good_set(hg: Hypergraph | Analysis, vertex_set: int) -> GoodSetCertificat
     if vertex_set & ~hg.vertex_mask:
         raise GoodSetError("vertex set contains ids >= n")
     k = a.k
+    inc = a.incidence
     ns = 0
-    for i, e in enumerate(hg.edges):
-        if e & vertex_set:
-            ns |= 1 << i
+    for v in bits(vertex_set):
+        ns |= inc[v]
     if ns & ~a.max_p_mask:
         return None
-    bound = _f_any(hg.r, k) * vertex_set.bit_count()
-    if ns.bit_count() > bound:
+    num, den = _f_parts(hg.r, k)
+    size = vertex_set.bit_count()
+    if ns.bit_count() * den > num * size:
         return None
     return GoodSetCertificate(
         S=vertex_set,
         k=k,
         NS=tuple(bits(ns)),
-        bound=bound,
+        bound=Fraction(num * size, den),
     )
 
 

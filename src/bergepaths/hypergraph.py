@@ -205,6 +205,9 @@ def components(hg: Hypergraph) -> list[tuple[Hypergraph, dict[int, int]]]:
     groups: dict[int, list[int]] = {}
     for v in range(hg.n):
         groups.setdefault(find(v), []).append(v)
+    if len(groups) == 1:
+        # connected: the relabelling below is the identity and rebuilds hg
+        return [(hg, {v: v for v in range(hg.n)})]
 
     out = []
     for verts in sorted(groups.values()):

@@ -11,9 +11,15 @@ Three depth-first searches do all the work.
 mask, used-edge mask) states, pruned by an admissible bound: a partial
 path of length d can reach at most d + min(unused edges, unused
 vertices). No transposition table; the bound prune dominates at this
-scale. It gives k, p(e) (the p-table, ``p_edge``), every
+scale. Besides the length it returns the edge mask of a path of that
+length. It gives k, p(e) (the p-table, ``p_edge``), every
 ``longest_path_length`` query and the existence queries of
 ``turan_exact`` (with a floor and excluded edges).
+
+The p-table is built over a longest-path cover. p(e) <= k always, and a
+length-k path is a witness that p(e) = k for each of its edges. So the
+edges of the path found for k, and of every anchored search that reaches
+k, get p = k with no search of their own.
 
 ``_walk`` lazily yields every path of an exact length from one start
 vertex, with the same bound. It gives ``iter_paths_of_length``, so
@@ -171,6 +177,11 @@ class Analysis:
         return tuple(tuple(a) for a in at), tuple(verts)
 
     @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """Bitmask over edge indices of the edges holding each vertex."""
+        return tuple(sum(1 << i for i in at) for at in self.adjacency[0])
+
+    @cached_property
     def components(self) -> tuple[tuple[Hypergraph, dict[int, int]], ...]:
         """Connected components with their old-to-new vertex maps."""
         return tuple(_components(self.hg))
@@ -180,15 +191,36 @@ class Analysis:
         return self.hg.n <= 1 or len(self.components) == 1
 
     @cached_property
-    def k(self) -> int:
-        """Longest Berge path length."""
+    def _k_path(self) -> tuple[int, int]:
+        """(k, edge mask of one longest path)."""
         return _max_len(self)
 
     @cached_property
+    def k(self) -> int:
+        """Longest Berge path length."""
+        return self._k_path[0]
+
+    @cached_property
     def p_values(self) -> tuple[int, ...]:
-        """p(e) for every edge; p never exceeds k."""
-        k = self.k
-        return tuple(_max_len(self, required_edge=i, stop_at=k) for i in range(self.hg.num_edges))
+        """p(e) for every edge; p never exceeds k.
+
+        Edges are taken in index order over a cover, the union of the
+        length-k paths found so far, seeded with the path found for k. An
+        edge in the cover has p = k with no search. Any other edge runs
+        the anchored search with cap k, and when that reaches k, the
+        edges of its path join the cover.
+        """
+        k, cover = self._k_path
+        out = []
+        for i in range(self.hg.num_edges):
+            if cover >> i & 1:
+                out.append(k)
+                continue
+            p, path = _max_len(self, required_edge=i, stop_at=k)
+            if p == k:
+                cover |= path
+            out.append(p)
+        return tuple(out)
 
     @cached_property
     def max_p_mask(self) -> int:
@@ -212,8 +244,10 @@ def _max_len(
     stop_at: int | None = None,
     floor: int = 0,
     excluded_edges: int = 0,
-) -> int:
-    """Maximum qualifying path length, or min(maximum, stop_at) if stop_at is set.
+) -> tuple[int, int]:
+    """(length, path): the maximum qualifying path length, or
+    min(maximum, stop_at) if stop_at is set, and the edge mask of a
+    qualifying path of that length (0 when no path beat ``floor``).
 
     With a required edge and no required endpoint, every qualifying path
     reads P1 x edge y P2: the search seeds the path with the edge on each
@@ -232,16 +266,18 @@ def _max_len(
     if stop_at is not None:
         cap = min(cap, stop_at)
     if cap <= 0:
-        return 0
+        return 0, 0
     edges_at, verts_of = a.adjacency
     need = 0 if required_edge is None else 1 << required_edge
     best = floor
+    best_e = excluded_edges
 
     def extend(v: int, other: int, used_v: int, used_e: int, depth: int) -> None:
         # other >= 0: the far end of the seed edge, not yet grown from
-        nonlocal best
+        nonlocal best, best_e
         if depth > best and used_e & need == need:
             best = depth
+            best_e = used_e
             if best >= cap:
                 raise _Done
         potential = m - used_e.bit_count()
@@ -273,7 +309,7 @@ def _max_len(
                 extend(s, -1, 1 << s, excluded_edges, 0)
     except _Done:
         pass
-    return min(best, cap)
+    return min(best, cap), best_e & ~excluded_edges
 
 
 def longest_path_length(hg: Hypergraph | Analysis, query: PathQuery | None = None) -> int:
@@ -295,7 +331,7 @@ def longest_path_length(hg: Hypergraph | Analysis, query: PathQuery | None = Non
         required_edge=query.required_edge,
         required_endpoint=query.required_endpoint,
         stop_at=query.target_length,
-    )
+    )[0]
 
 
 def p_edge(hg: Hypergraph | Analysis, edge: int) -> int:
@@ -303,7 +339,7 @@ def p_edge(hg: Hypergraph | Analysis, edge: int) -> int:
     a = analyze(hg)
     if not 0 <= edge < a.hg.num_edges:
         raise SearchError(f"edge index {edge} out of range")
-    return _max_len(a, required_edge=edge, stop_at=a.k)
+    return _max_len(a, required_edge=edge, stop_at=a.k)[0]
 
 
 def _walk(a: Analysis, start: int, length: int) -> Iterator[tuple[list[int], list[int]]]:
@@ -399,7 +435,7 @@ def _least_seq(
     vertex, so the other vertices of a cycle exceed the first.
     """
     n = a.hg.n
-    inc = [sum(1 << i for i in at) for at in a.adjacency[0]]
+    inc = a.incidence
     seq: list[int] = []
     cands: list[int] = []  # cands[j]: the edges holding seq[j] and seq[j + 1]
     open_pairs = length - 1 if cycle else length

@@ -14,6 +14,7 @@ arithmetic, never by floating-point tolerance.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -54,11 +55,16 @@ def f_r(r: int, x: int) -> Fraction:
 
 def _f_any(r: int, x: int) -> Fraction:
     # shared with the r=2 weight sums, where the branches collapse to x/2
+    return Fraction(*_f_parts(r, x))
+
+
+def _f_parts(r: int, x: int) -> tuple[int, int]:
+    """f_r(x) as (numerator, positive denominator), not reduced."""
     if x == 1:
-        return Fraction(1, r)
+        return 1, r
     if x <= r - 1:
-        return Fraction(x, r + 1)
-    return Fraction(comb(x, r - 1), r)
+        return x, r + 1
+    return comb(x, r - 1), r
 
 
 @dataclass(frozen=True)
@@ -126,15 +132,15 @@ def weight_report(hg: Hypergraph | Analysis) -> WeightReport:
     """
     a = analyze(hg)
     hg = a.hg
-    per_edge = []
+    # at most n - 1 distinct p values: one f and 1/f per value, shared
+    table = {}
     total = Fraction(0)
-    for i, p in enumerate(a.p_values):
+    for p, count in Counter(a.p_values).items():
         f = _f_any(hg.r, p)
-        inv = 1 / f
-        per_edge.append(EdgeWeight(i, p, f, inv))
-        total += inv
+        table[p] = (f, 1 / f)
+        total += count / f
     return WeightReport(
-        per_edge=tuple(per_edge),
+        per_edge=tuple(EdgeWeight(i, p, *table[p]) for i, p in enumerate(a.p_values)),
         total=total,
         bound=hg.n,
         is_equality=total == hg.n,
@@ -214,7 +220,7 @@ def turan_exact(n: int, r: int, k: int) -> TuranResult:
         # from vertices, not from the slot: these queries mostly refute a
         # path, and refuting one grown outward from the slot visits every
         # (suffix, prefix) pair around it.
-        return _max_len(pool, stop_at=k, floor=k - 1, excluded_edges=full & ~chosen) < k
+        return _max_len(pool, stop_at=k, floor=k - 1, excluded_edges=full & ~chosen)[0] < k
 
     def grow(avail: int, chosen: int, count: int, conflicts: list[int], goal: int) -> bool:
         # Visits the free supersets of chosen within avail, lowest slot

@@ -118,6 +118,13 @@ def test_verify_exhaustive_rejects_seed(capsys):
     assert "exhaustive mode takes no sample_count/seed" in capsys.readouterr().err
 
 
+def test_verify_refuses_an_empty_check_list(capsys):
+    assert main(["verify", "--n", "4", "--r", "3", "--exhaustive", "--checks", ""]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "bad check list" in captured.err
+    assert "checked" not in captured.out
+
+
 def test_verify_rejects_worker_count_out_of_range(capsys):
     # 10 instances never reach the process pool, whatever the worker count
     argv = ["verify", "--n", "4", "--r", "3", "--sample", "10", "--seed", "1"]

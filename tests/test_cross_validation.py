@@ -51,7 +51,7 @@ def test_anchored_p_table_matches_vertex_start_search():
         a = analyze(hg)
         expected = tuple(
             max(
-                _max_len(a, required_edge=i, required_endpoint=v, stop_at=a.k)
+                _max_len(a, required_edge=i, required_endpoint=v, stop_at=a.k)[0]
                 for v in range(hg.n)
             )
             for i in range(hg.num_edges)
@@ -143,7 +143,7 @@ def reference_turan_exact(n, r, k):
         if idx == m or count + (m - idx) <= best_count:
             return
         with_idx = chosen | (1 << idx)
-        if _max_len(pool, stop_at=k, floor=k - 1, excluded_edges=full & ~with_idx) < k:
+        if _max_len(pool, stop_at=k, floor=k - 1, excluded_edges=full & ~with_idx)[0] < k:
             dfs(idx + 1, with_idx, count + 1)
         dfs(idx + 1, chosen, count)
 

@@ -161,3 +161,24 @@ def test_good_set_existence_and_patterns_exhaustive(n):
                     or (size == r - 1 and ns == 1)
                 )
             assert any(patterns), (h, certs)
+
+
+def test_integer_size_test_agrees_with_the_fraction_bound():
+    # every vertex set of every (4,3) and (5,3) instance with an edge
+    tight = 0
+    for n in (4, 5):
+        for a in instances(SweepConfig(n=n, r=3, mode="exhaustive")):
+            h = a.hg
+            if not h.num_edges:
+                continue
+            bound = f_r(3, a.k)
+            for s in range(1, 1 << n):
+                ns = [i for i, e in enumerate(h.edges) if e & s]
+                on_longest = all(a.p_values[i] == a.k for i in ns)
+                fits = len(ns) <= bound * s.bit_count()
+                cert = is_good_set(a, s)
+                assert (cert is not None) == (on_longest and fits), (h, s)
+                if cert is not None:
+                    assert cert.NS == tuple(ns) and cert.bound == bound * s.bit_count()
+                    tight += len(ns) == cert.bound
+    assert tight > 0

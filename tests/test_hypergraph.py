@@ -9,6 +9,7 @@ from bergepaths.hypergraph import (
     components,
     delete_vertices,
     from_edge_lists,
+    from_masks,
     is_connected,
     mask_of,
     neighborhood,
@@ -194,3 +195,31 @@ def test_components_partition_vertices_and_edges(h):
     for e in h.edges:
         homes = [1 for _, relabel in comps if all(v in relabel for v in bits(e))]
         assert len(homes) == 1
+
+
+def relabelled_components(h):
+    """``components`` without its shortcut for a connected input, kept as a
+    reference: merge the vertex groups that an edge meets, then rebuild
+    each group on 0..|group|-1."""
+    groups = [1 << v for v in range(h.n)]
+    for e in h.edges:
+        merged = e
+        for g in groups:
+            if g & e:
+                merged |= g
+        groups = [g for g in groups if not g & e] + [merged]
+    out = []
+    for g in sorted(groups, key=lambda g: g & -g):
+        relabel = {v: i for i, v in enumerate(bits(g))}
+        masks = [mask_of(relabel[v] for v in bits(e)) for e in h.edges if e & g == e]
+        out.append((from_masks(len(relabel), h.r, masks), relabel))
+    return out
+
+
+def test_components_of_connected_instances_equal_the_general_relabelling():
+    connected = 0
+    for a in instances(SweepConfig(n=5, r=3, mode="exhaustive")):
+        got = components(a.hg)
+        assert got == relabelled_components(a.hg), a.hg
+        connected += len(got) == 1
+    assert connected > 0

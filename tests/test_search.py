@@ -10,8 +10,10 @@ from bergepaths.hypergraph import (
     is_connected,
     possible_edges,
 )
+from bergepaths import search as search_module
 from bergepaths.oracle import OracleError, oracle_length_table, oracle_longest_path
 from bergepaths.search import (
+    Analysis,
     BergePath,
     PathQuery,
     SearchError,
@@ -281,3 +283,62 @@ def test_exhaustive_oracle_equivalence_tiny():
         k, pvals = oracle_length_table(h)
         assert longest_path_length(h) == k
         assert analyze(h).p_values == pvals
+
+
+def cover_instances():
+    """Every (4,3), (5,3) and (5,4) instance, 300 sampled (6,3) ones, then
+    every disjoint union of two (4,3) instances. No instance of the first
+    three kinds has an edge with p < k; many of the unions do."""
+    for n, r in ((4, 3), (5, 3), (5, 4)):
+        yield from instances(SweepConfig(n=n, r=r, mode="exhaustive"))
+    yield from instances(SweepConfig(n=6, r=3, mode="sample", sample_count=300, seed=9))
+    k43s = [a.hg.edges for a in instances(SweepConfig(n=4, r=3, mode="exhaustive"))]
+    for low in k43s:
+        for high in k43s:
+            yield analyze(Hypergraph(8, 3, low + tuple(e << 4 for e in high)))
+
+
+def test_p_table_cover_paths_are_longest_paths_through_the_searched_edge(monkeypatch):
+    # The p-table gives p = k without a search to each edge of a recorded
+    # length-k path; each recorded edge mask must be the edge set of a real
+    # length-k path holding the edge its search was anchored on. The (6,3)
+    # samples have millions of longest paths between them, so the path is
+    # looked for among the mask's own k edges: a length-k path there uses
+    # every one of them, and is a path of the whole instance.
+    recorded = []
+    longest = search_module._max_len
+
+    def recording(a, **query):
+        length, path = longest(a, **query)
+        recorded.append((query.get("required_edge"), length, path))
+        return length, path
+
+    monkeypatch.setattr(search_module, "_max_len", recording)
+    checked = 0
+    for a in cover_instances():
+        recorded.clear()
+        pvals, k = a.p_values, a.k
+        cover = [(edge, path) for edge, length, path in recorded if length == k > 0]
+        assert pvals == tuple(p_edge(Analysis(a.hg), i) for i in range(a.hg.num_edges))
+        for edge, path in cover:
+            sub = Hypergraph(a.hg.n, a.hg.r, tuple(a.hg.edges[i] for i in bits(path)))
+            assert path.bit_count() == k, (a.hg, edge, path)
+            assert next(iter_paths_of_length(sub, k), None) is not None, (a.hg, edge, path)
+            assert edge is None or path >> edge & 1, (a.hg, edge, path)
+            checked += 1
+    assert checked > 1000
+
+
+def test_p_table_on_k63_skips_the_edges_of_found_longest_paths(monkeypatch):
+    a = Analysis(complete_hypergraph(6, 3))
+    calls = []
+    longest = search_module._max_len
+
+    def counting(a, **query):
+        calls.append(query.get("required_edge"))
+        return longest(a, **query)
+
+    monkeypatch.setattr(search_module, "_max_len", counting)
+    assert a.p_values == (5,) * 20
+    # one search for k, then fewer than one anchored search per edge
+    assert len(calls) < 1 + 20

@@ -11,6 +11,7 @@ from bergepaths.hypergraph import (
     possible_edges,
 )
 from bergepaths.search import longest_path_length
+from bergepaths.verify import SweepConfig, instances
 from bergepaths.weights import (
     CASE_I,
     CASE_II,
@@ -171,3 +172,16 @@ def test_weight_sum_additive_over_components(h):
     rep = weight_report(h)
     comp_total = sum((weight_report(c).total for c, _ in components(h)), Fraction(0))
     assert rep.total == comp_total
+
+
+def test_weights_shared_by_p_class_are_exact():
+    cfgs = (
+        SweepConfig(n=5, r=3, mode="exhaustive"),
+        SweepConfig(n=6, r=3, mode="sample", sample_count=300, seed=9),
+    )
+    for cfg in cfgs:
+        for a in instances(cfg):
+            rep = weight_report(a)
+            assert rep.total == sum((w.inv_f for w in rep.per_edge), Fraction(0))
+            for w, p in zip(rep.per_edge, a.p_values):
+                assert w.p == p and w.f == f_r(3, p) and w.f * w.inv_f == 1
