@@ -4,7 +4,8 @@
 Runs the headline exhaustive and sampled sweeps, the spanning-cycle and
 start-vertex suites, the Turan table rows, and the gap-inequality scan,
 writing reports under results/. Everything is deterministic; re-running
-reproduces the same files byte for byte.
+reproduces the same files byte for byte. Each stage prints its wall time
+to stdout only; the reports carry no timings.
 """
 
 import argparse
@@ -64,11 +65,14 @@ def main() -> int:
 
     for r in (3, 4):
         banner(f"start-vertex suite r={r}")
+        started = time.monotonic()
         rep = coro_path_check(r)
+        elapsed = time.monotonic() - started
         status = "pass" if rep.passed else "FAIL"
         print(
             f"{rep.instances} instances: {status};"
-            f" single-edge coverage discrepancy at {len(rep.e1_discrepancy)} vertices"
+            f" single-edge coverage discrepancy at {len(rep.e1_discrepancy)} vertices,"
+            f" {elapsed:.1f}s"
         )
         if not rep.passed:
             failures += 1
@@ -76,10 +80,12 @@ def main() -> int:
     banner("Turan table")
     cells = [(5, 3, 3), (4, 3, 4), (6, 3, 4), (5, 3, 4), (6, 3, 5), (7, 5, 6), (8, 6, 6)]
     for n, r, k in cells:
+        started = time.monotonic()
         res = turan_exact(n, r, k)
+        elapsed = time.monotonic() - started
         print(
             f"ex_{r}({n}, BP_{k}) = {res.exact}"
-            f"  (bound {format_fraction(res.paper_bound)})"
+            f"  (bound {format_fraction(res.paper_bound)}), {elapsed:.1f}s"
         )
         faults = res.faults()
         for fault in faults:
@@ -87,6 +93,7 @@ def main() -> int:
         failures += len(faults)
 
     banner("gap inequality r in 3..8, k up to 40")
+    started = time.monotonic()
     bad = []
     for r in range(3, 9):
         for k in range(6 if r == 3 else r + 1, 41):
@@ -95,7 +102,8 @@ def main() -> int:
                 bad.append((r, k))
             if res.is_equality:
                 print(f"equality at r={r}, k={k}")
-    print(f"{'no violations' if not bad else bad}")
+    elapsed = time.monotonic() - started
+    print(f"{'no violations' if not bad else bad}, {elapsed:.1f}s")
     failures += len(bad)
 
     banner("summary")

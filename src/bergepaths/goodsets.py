@@ -147,14 +147,14 @@ def _close(hg: Hypergraph, vs, es) -> tuple[int, dict, int]:
     Returns (terminal mask, far terminal -> (vertices, edges) witness,
     number of the path's edges meeting the terminal set). ``vs`` and
     ``es`` may be tuples or lists; the witnesses are slices of the same
-    type, and the base path itself is the witness of ``vs[-1]``.
+    type, and the base path itself is the witness of ``vs[-1]``. The
+    base path is validated first.
     """
+    masks = _validate_seq(hg, vs, es)
     edges = hg.edges
     length = len(es)
     terminals = 1 << vs[-1]
     witnesses = {vs[-1]: (vs, es)}
-    if __debug__:
-        vmask, emask = mask_of(vs), mask_of(es)
     j = 0
     while j < length:
         a, b = vs[j], vs[j + 1]
@@ -170,9 +170,7 @@ def _close(hg: Hypergraph, vs, es) -> tuple[int, dict, int]:
         # qe[pos] is e_j: keep both prefixes through pos, reverse the tails
         nv = qv[: pos + 1] + qv[:pos:-1]
         ne = qe[: pos + 1] + qe[:pos:-1]
-        if __debug__:
-            _validate_seq(hg, nv, ne)
-            assert mask_of(nv) == vmask and mask_of(ne) == emask and nv[0] == vs[0]
+        assert _validate_seq(hg, nv, ne) == masks and nv[0] == vs[0]
         witnesses[y] = (nv, ne)
         terminals |= 1 << y
         j = 0
@@ -185,12 +183,11 @@ def _close(hg: Hypergraph, vs, es) -> tuple[int, dict, int]:
 
 def _closures(a: Analysis) -> Iterator[tuple[list[int], list[int], int, int]]:
     """(vertices, edges, terminals, lhs) of ``_close`` for every longest
-    path pinned at its first vertex, each path validated first. The two
-    lists are the walk's own, reused from one path to the next."""
+    path pinned at its first vertex. The two lists are the walk's own,
+    reused from one path to the next."""
     hg = a.hg
     for s in range(hg.n):
         for vs, es in _walk(a, s, a.k):
-            _validate_seq(hg, vs, es)
             terminals, _, lhs = _close(hg, vs, es)
             yield vs, es, terminals, lhs
 
@@ -206,7 +203,7 @@ def rotation_closure(hg: Hypergraph, path: BergePath, fixed_end: int) -> Rotatio
     increasing (segment index, terminal id) order for determinism;
     terminals grow strictly, so this stops after at most length(P) steps.
     """
-    validate_path(hg, path)
+    validate_path(hg, path)  # before the terminal test, which reads the path
     if fixed_end == path.vertices[-1] and fixed_end != path.vertices[0]:
         path = BergePath(tuple(reversed(path.vertices)), tuple(reversed(path.edges)))
     if fixed_end != path.vertices[0]:

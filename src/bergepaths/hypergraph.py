@@ -188,35 +188,25 @@ def components(hg: Hypergraph) -> list[tuple[Hypergraph, dict[int, int]]]:
     edges joins them; this coincides with reachability by Berge paths.
     Isolated vertices form their own edgeless components.
     """
-    parent = list(range(hg.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in hg.edges:
-        vs = list(bits(e))
-        root = find(vs[0])
-        for v in vs[1:]:
-            parent[find(v)] = root
-
-    groups: dict[int, list[int]] = {}
-    for v in range(hg.n):
-        groups.setdefault(find(v), []).append(v)
+    groups = []  # the vertex mask of each component, by least vertex
+    left, rest = hg.edges, hg.vertex_mask
+    while rest:
+        group = rest & -rest  # flood from the least vertex left
+        while meet := [e for e in left if e & group]:
+            left = [e for e in left if not e & group]
+            for e in meet:
+                group |= e
+        groups.append(group)
+        rest &= ~group
     if len(groups) == 1:
         # connected: the relabelling below is the identity and rebuilds hg
         return [(hg, {v: v for v in range(hg.n)})]
 
     out = []
-    for verts in sorted(groups.values()):
-        relabel = {v: i for i, v in enumerate(verts)}
-        group_mask = mask_of(verts)
-        masks = [
-            mask_of(relabel[v] for v in bits(e)) for e in hg.edges if e & group_mask == e
-        ]
-        out.append((from_masks(len(verts), hg.r, masks), relabel))
+    for group in groups:
+        relabel = {v: i for i, v in enumerate(bits(group))}
+        masks = [mask_of(relabel[v] for v in bits(e)) for e in hg.edges if e & group == e]
+        out.append((from_masks(len(relabel), hg.r, masks), relabel))
     return out
 
 

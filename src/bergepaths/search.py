@@ -7,14 +7,15 @@ contain vertices outside it.
 
 Three depth-first searches do all the work.
 
-``_max_len`` is a branch-and-bound maximizer over (endpoint, used-vertex
-mask, used-edge mask) states, pruned by an admissible bound: a partial
-path of length d can reach at most d + min(unused edges, unused
-vertices). No transposition table; the bound prune dominates at this
-scale. Besides the length it returns the edge mask of a path of that
-length. It gives k, p(e) (the p-table, ``p_edge``), every
-``longest_path_length`` query and the existence queries of
-``turan_exact`` (with a floor and excluded edges).
+``_max_len`` is a maximizer over (endpoint, used-vertex mask, used-edge
+mask) states. It extends a path at its end v along the free edges at v,
+the set bits of ``incidence[v] & ~used_e``, lowest first. It has no
+per-node bound: along a path of d edges, d + min(unused edges, unused
+vertices) is min(m - excluded, n - 1) at every node, so one root check
+does all the pruning such a bound could. Besides the length it returns
+the edge mask of a path of that length. It gives k, p(e) (the p-table,
+``p_edge``), every ``longest_path_length`` query and the existence
+queries of ``turan_exact`` (with a floor and excluded edges).
 
 The p-table is built over a longest-path cover. p(e) <= k always, and a
 length-k path is a witness that p(e) = k for each of its edges. So the
@@ -22,7 +23,7 @@ edges of the path found for k, and of every anchored search that reaches
 k, get p = k with no search of their own.
 
 ``_walk`` lazily yields every path of an exact length from one start
-vertex, with the same bound. It gives ``iter_paths_of_length``, so
+vertex, in the same order. It gives ``iter_paths_of_length``, so
 ``iter_longest_paths``, and ``has_path_with_endpoints``. Maximizing and
 enumerating stay two searches: a merged kernel would branch on its
 caller, and the walk must stay lazy, since a (6,3) instance can have
@@ -111,25 +112,42 @@ def validate_path(hg: Hypergraph, path: BergePath) -> None:
     _validate_seq(hg, path.vertices, path.edges)
 
 
-def _validate_seq(hg: Hypergraph, vs, es) -> None:
-    """``validate_path`` on a vertex and an edge sequence (tuples or lists)."""
+def _validate_seq(hg: Hypergraph, vs, es) -> tuple[int, int]:
+    """``validate_path`` in one pass on vertex and edge sequences (tuples or
+    lists), returning their (vertex mask, edge mask). Of several defects it
+    reports the first of: counts, repeated vertex, repeated edge, vertex
+    range, then the first edge out of range or missing a flanking vertex."""
     if len(vs) != len(es) + 1:
         raise SearchError(f"path has {len(vs)} vertices for {len(es)} edges")
-    if len(set(vs)) != len(vs):
-        raise SearchError(f"repeated vertex in path {tuple(vs)}")
-    if len(set(es)) != len(es):
-        raise SearchError(f"repeated edge in path {tuple(es)}")
     n, edges = hg.n, hg.edges
     m = len(edges)
-    for v in vs:
-        if not 0 <= v < n:
-            raise SearchError(f"vertex {v} outside 0..{n - 1}")
-    for i, e in enumerate(es):
-        if not 0 <= e < m:
-            raise SearchError(f"edge index {e} out of range")
-        need = (1 << vs[i]) | (1 << vs[i + 1])
-        if edges[e] & need != need:
-            raise SearchError(f"edge {e} does not contain both {vs[i]} and {vs[i + 1]}")
+    v = vs[0]
+    prev = vmask = 1 << v if 0 <= v < n else 0
+    emask = 0
+    fault = None  # the first edge fault; moot when a vertex is out of range
+    for j, e in enumerate(es):
+        v = vs[j + 1]
+        bit = 1 << v if 0 <= v < n else 0
+        vmask |= bit
+        if 0 <= e < m:
+            emask |= 1 << e
+            need = prev | bit
+            if edges[e] & need != need and fault is None:
+                fault = f"edge {e} does not contain both {vs[j]} and {v}"
+        elif fault is None:
+            fault = f"edge index {e} out of range"
+        prev = bit
+    # distinct in-range ids fill one bit each; any shortfall is a repeat or a stray id
+    if vmask.bit_count() != len(vs) and len(set(vs)) != len(vs):
+        raise SearchError(f"repeated vertex in path {tuple(vs)}")
+    if emask.bit_count() != len(es) and len(set(es)) != len(es):
+        raise SearchError(f"repeated edge in path {tuple(es)}")
+    if vmask.bit_count() != len(vs):
+        v = next(v for v in vs if not 0 <= v < n)
+        raise SearchError(f"vertex {v} outside 0..{n - 1}")
+    if fault is not None:
+        raise SearchError(fault)
+    return vmask, emask
 
 
 def validate_cycle(hg: Hypergraph, cycle: BergeCycle) -> None:
@@ -165,21 +183,18 @@ class Analysis:
     hg: Hypergraph
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """(edges incident to each vertex, vertices of each edge), both ascending."""
-        at = [[] for _ in range(self.hg.n)]
-        verts = []
-        for i, e in enumerate(self.hg.edges):
-            vs = tuple(bits(e))
-            verts.append(vs)
-            for v in vs:
-                at[v].append(i)
-        return tuple(tuple(a) for a in at), tuple(verts)
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The vertices of each edge, ascending."""
+        return tuple(tuple(bits(e)) for e in self.hg.edges)
 
     @cached_property
     def incidence(self) -> tuple[int, ...]:
         """Bitmask over edge indices of the edges holding each vertex."""
-        return tuple(sum(1 << i for i in at) for at in self.adjacency[0])
+        inc = [0] * self.hg.n
+        for i, vs in enumerate(self.adjacency):
+            for v in vs:
+                inc[v] |= 1 << i
+        return tuple(inc)
 
     @cached_property
     def components(self) -> tuple[tuple[Hypergraph, dict[int, int]], ...]:
@@ -256,18 +271,20 @@ def _max_len(
     vertex, or from the required endpoint, and counts only those that use
     the required edge.
 
-    ``floor`` additionally prunes branches that cannot exceed it; when
-    floor > 0 the return value is only meaningful compared against floor
-    (used for pure existence queries). ``excluded_edges`` masks out edge
-    indices entirely, letting callers search sub-hypergraphs in place.
+    No path is longer than reach = min(m - excluded, n - 1), so when
+    reach <= ``floor`` nothing is searched; when floor > 0 the return
+    value is only meaningful compared against floor (used for pure
+    existence queries). ``excluded_edges`` masks out edge indices
+    entirely, letting callers search sub-hypergraphs in place.
     """
-    n, m = a.hg.n, a.hg.num_edges
-    cap = min(m - excluded_edges.bit_count(), n - 1)
-    if stop_at is not None:
-        cap = min(cap, stop_at)
+    n = a.hg.n
+    reach = min(a.hg.num_edges - excluded_edges.bit_count(), n - 1)
+    cap = reach if stop_at is None else min(reach, stop_at)
     if cap <= 0:
         return 0, 0
-    edges_at, verts_of = a.adjacency
+    if reach <= floor:
+        return min(floor, cap), 0
+    inc, verts_of = a.incidence, a.adjacency
     need = 0 if required_edge is None else 1 << required_edge
     best = floor
     best_e = excluded_edges
@@ -280,17 +297,12 @@ def _max_len(
             best_e = used_e
             if best >= cap:
                 raise _Done
-        potential = m - used_e.bit_count()
-        rem_v = n - used_v.bit_count()
-        if rem_v < potential:
-            potential = rem_v
-        if depth + potential <= best:
-            return
-        for i in edges_at[v]:
-            if used_e >> i & 1:
-                continue
-            nxt_e = used_e | (1 << i)
-            for u in verts_of[i]:
+        free = inc[v] & ~used_e
+        while free:
+            low = free & -free
+            free ^= low
+            nxt_e = used_e | low
+            for u in verts_of[low.bit_length() - 1]:
                 if used_v >> u & 1:
                     continue
                 extend(u, other, used_v | (1 << u), nxt_e, depth + 1)
@@ -346,10 +358,12 @@ def _walk(a: Analysis, start: int, length: int) -> Iterator[tuple[list[int], lis
     """Every path of exactly ``length`` edges from ``start``, in depth-first order.
 
     Yields (vertex list, edge list). The two lists are reused from one
-    yield to the next, so copy them to keep them.
+    yield to the next, so copy them to keep them. No path is longer than
+    min(m, n - 1), so a longer ``length`` yields nothing without a search.
     """
-    n, m = a.hg.n, a.hg.num_edges
-    edges_at, verts_of = a.adjacency
+    if min(a.hg.num_edges, a.hg.n - 1) < length:
+        return iter(())
+    inc, verts_of = a.incidence, a.adjacency
     path_v = [start] + [0] * length
     path_e = [0] * length
 
@@ -357,21 +371,17 @@ def _walk(a: Analysis, start: int, length: int) -> Iterator[tuple[list[int], lis
         if depth == length:
             yield path_v, path_e
             return
-        potential = m - used_e.bit_count()
-        rem_v = n - used_v.bit_count()
-        if rem_v < potential:
-            potential = rem_v
-        if depth + potential < length:
-            return
-        for i in edges_at[v]:
-            if used_e >> i & 1:
-                continue
+        free = inc[v] & ~used_e
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
             for u in verts_of[i]:
                 if used_v >> u & 1:
                     continue
                 path_e[depth] = i
                 path_v[depth + 1] = u
-                yield from extend(u, used_v | (1 << u), used_e | (1 << i), depth + 1)
+                yield from extend(u, used_v | (1 << u), used_e | low, depth + 1)
 
     return extend(start, 1 << start, 0, 0)
 

@@ -6,7 +6,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from bergepaths import goodsets
+from bergepaths import goodsets, weights
 from bergepaths.goodsets import _close, check_rotation_bound, rotation_closure
 from bergepaths.hypergraph import (
     Hypergraph,
@@ -20,6 +20,7 @@ from bergepaths.search import (
     BergePath,
     PathQuery,
     _max_len,
+    _walk,
     analyze,
     has_berge_cycle,
     find_berge_cycle,
@@ -57,6 +58,158 @@ def test_anchored_p_table_matches_vertex_start_search():
             for i in range(hg.num_edges)
         )
         assert a.p_values == expected, hg
+
+
+def reference_adjacency(hg):
+    """(edges incident to each vertex, vertices of each edge), both ascending."""
+    at = [[] for _ in range(hg.n)]
+    verts = []
+    for i, e in enumerate(hg.edges):
+        vs = tuple(bits(e))
+        verts.append(vs)
+        for v in vs:
+            at[v].append(i)
+    return tuple(tuple(a) for a in at), tuple(verts)
+
+
+class _ReferenceDone(Exception):
+    pass
+
+
+def reference_max_len(
+    a, required_edge=None, required_endpoint=None, stop_at=None, floor=0, excluded_edges=0
+):
+    """The maximizer in its earlier form, kept as a slow reference: a
+    bound d + min(unused edges, unused vertices) tested at every node, and
+    each vertex's incident edges scanned in a list, skipping used ones."""
+    n, m = a.hg.n, a.hg.num_edges
+    cap = min(m - excluded_edges.bit_count(), n - 1)
+    if stop_at is not None:
+        cap = min(cap, stop_at)
+    if cap <= 0:
+        return 0, 0
+    edges_at, verts_of = reference_adjacency(a.hg)
+    need = 0 if required_edge is None else 1 << required_edge
+    best = floor
+    best_e = excluded_edges
+
+    def extend(v, other, used_v, used_e, depth):
+        # other >= 0: the far end of the seed edge, not yet grown from
+        nonlocal best, best_e
+        if depth > best and used_e & need == need:
+            best = depth
+            best_e = used_e
+            if best >= cap:
+                raise _ReferenceDone
+        potential = m - used_e.bit_count()
+        rem_v = n - used_v.bit_count()
+        if rem_v < potential:
+            potential = rem_v
+        if depth + potential <= best:
+            return
+        for i in edges_at[v]:
+            if used_e >> i & 1:
+                continue
+            nxt_e = used_e | (1 << i)
+            for u in verts_of[i]:
+                if used_v >> u & 1:
+                    continue
+                extend(u, other, used_v | (1 << u), nxt_e, depth + 1)
+        if other >= 0:
+            extend(other, -1, used_v, used_e, depth)
+
+    try:
+        if need and required_endpoint is None:
+            vs = verts_of[required_edge]
+            for j, x in enumerate(vs):
+                for y in vs[j + 1 :]:
+                    extend(y, x, (1 << x) | (1 << y), excluded_edges | need, 1)
+        else:
+            starts = range(n) if required_endpoint is None else (required_endpoint,)
+            for s in starts:
+                extend(s, -1, 1 << s, excluded_edges, 0)
+    except _ReferenceDone:
+        pass
+    return min(best, cap), best_e & ~excluded_edges
+
+
+def reference_walk(a, start, length):
+    """The exact-length walker in its earlier form, with the same bound and
+    incident-edge lists as ``reference_max_len``."""
+    n, m = a.hg.n, a.hg.num_edges
+    edges_at, verts_of = reference_adjacency(a.hg)
+    path_v = [start] + [0] * length
+    path_e = [0] * length
+
+    def extend(v, used_v, used_e, depth):
+        if depth == length:
+            yield path_v, path_e
+            return
+        potential = m - used_e.bit_count()
+        rem_v = n - used_v.bit_count()
+        if rem_v < potential:
+            potential = rem_v
+        if depth + potential < length:
+            return
+        for i in edges_at[v]:
+            if used_e >> i & 1:
+                continue
+            for u in verts_of[i]:
+                if used_v >> u & 1:
+                    continue
+                path_e[depth] = i
+                path_v[depth + 1] = u
+                yield from extend(u, used_v | (1 << u), used_e | (1 << i), depth + 1)
+
+    return extend(start, 1 << start, 0, 0)
+
+
+def test_search_core_matches_the_reference_kernels():
+    """On every (4,3), (5,3) and (5,4) instance the kernels give the
+    reference's (length, path mask) for k, for each anchored query of the
+    p-table and for each endpoint, and walk the same paths in the same
+    order at every length up to k + 1."""
+    walked = 0
+    cases = itertools.chain(every_instance(4, 3), every_instance(5, 3), every_instance(5, 4))
+    for hg in cases:
+        a = analyze(hg)
+        queries = [{}]
+        queries += [{"required_edge": i, "stop_at": a.k} for i in range(hg.num_edges)]
+        queries += [{"required_endpoint": v} for v in range(hg.n)]
+        for q in queries:
+            assert _max_len(a, **q) == reference_max_len(a, **q), (hg, q)
+        for s in range(hg.n):
+            for length in range(a.k + 2):
+                got = [(tuple(vs), tuple(es)) for vs, es in _walk(a, s, length)]
+                expected = [(tuple(vs), tuple(es)) for vs, es in reference_walk(a, s, length)]
+                assert got == expected, (hg, s, length)
+                walked += len(got)
+    assert walked > 900_000
+
+
+# the cells of the turan benchmark workload, and (6,3,5)
+TURAN_QUERY_CELLS = (
+    (5, 3, 3), (5, 3, 4), (6, 3, 3), (6, 3, 4), (6, 4, 3),
+    (6, 4, 4), (6, 4, 5), (7, 5, 4), (7, 5, 5), (6, 3, 5),
+)
+
+
+def test_turan_existence_queries_match_the_reference_kernel(monkeypatch):
+    """Every existence query that turan_exact makes, with its floor and
+    excluded edges, gets the reference's answer."""
+    calls = []
+
+    def recording(a, **query):
+        got = _max_len(a, **query)
+        calls.append((a, query, got))
+        return got
+
+    monkeypatch.setattr(weights, "_max_len", recording)
+    for cell in TURAN_QUERY_CELLS:
+        turan_exact(*cell)
+    assert len(calls) > 4000
+    for a, query, got in calls:
+        assert got == reference_max_len(a, **query), (a.hg.n, a.hg.r, query)
 
 
 def test_anchored_queries_match_oracle_exhaustively():

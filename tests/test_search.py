@@ -8,6 +8,7 @@ from bergepaths.hypergraph import (
     delete_vertices,
     from_edge_lists,
     is_connected,
+    mask_of,
     possible_edges,
 )
 from bergepaths import search as search_module
@@ -110,6 +111,40 @@ class TestValidatePath:
     def test_valid_path_passes(self):
         validate_path(CHAIN2, BergePath((0, 2, 3), (0, 1)))
         _validate_seq(CHAIN2, [1], [])
+
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            ((0, 0), (), "path has 2 vertices for 0 edges"),
+            ((0, 2, 0), (0, 5), "repeated vertex in path (0, 2, 0)"),
+            ((0, 2, 0), (0, 0), "repeated vertex in path (0, 2, 0)"),
+            ((7, 2, 7), (0, 1), "repeated vertex in path (7, 2, 7)"),
+            ((0, 2, 9), (0, 0), "repeated edge in path (0, 0)"),
+            ((0, -3, 2), (7, 7), "repeated edge in path (7, 7)"),
+            ((0, 6, 5), (0, 1), "vertex 6 outside 0..4"),
+            ((-1, 2), (1,), "vertex -1 outside 0..4"),
+            ((0, 2, 3), (5, 0), "edge index 5 out of range"),
+            ((0, 2, 3), (1, 5), "edge 1 does not contain both 0 and 2"),
+            ((2, 0, 1), (1, 0), "edge 1 does not contain both 2 and 0"),
+        ],
+    )
+    def test_first_of_two_defects_is_reported(self, vertices, edges, message):
+        """With two defects the message is the one the checks give in
+        order: counts, repeated vertex, repeated edge, vertex range, then
+        the first bad edge."""
+        for vs, es in ((vertices, edges), (list(vertices), list(edges))):
+            with pytest.raises(SearchError) as err:
+                _validate_seq(CHAIN2, vs, es)
+            assert str(err.value) == message
+
+    def test_returns_the_vertex_and_edge_masks(self):
+        paths = 0
+        for a in instances(SweepConfig(n=5, r=3, mode="exhaustive")):
+            for s in range(a.hg.n):
+                for vs, es in search_module._walk(a, s, a.k):
+                    assert _validate_seq(a.hg, vs, es) == (mask_of(vs), mask_of(es)), (vs, es)
+                    paths += 1
+        assert paths == 425_945  # every longest path of every (5,3) instance
 
 
 class TestPEdge:
