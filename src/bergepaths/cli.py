@@ -158,7 +158,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gapcheck(args) -> int:
+    if args.r < 3:
+        raise ValueError(f"gapcheck requires r >= 3, got r={args.r}")
     start = 6 if args.r == 3 else args.r + 1
+    if args.kmax < start:
+        raise ValueError(
+            f"--kmax {args.kmax} is below k = {start}, the first k of the domain for r = {args.r}"
+        )
     bad = 0
     for k in range(start, args.kmax + 1):
         res = gap_check(args.r, k)

@@ -3,7 +3,8 @@
 A nonempty vertex set S is good when every edge meeting S lies on some
 maximum-length Berge path (p(e) = k for all e in N(S)) and
 |N(S)| <= f_r(k) |S|. Good sets are what make the weight-sum induction
-go through: deleting one costs at most |S| of the bound.
+go through: deleting one costs at most |S| of the bound. The subset scan
+reads each N(S) from two incidence tables, one per half of the vertices.
 
 The rotation closure realizes the constructive core of the terminal-set
 argument: starting from a path P with a pinned terminal v0, repeatedly
@@ -87,21 +88,24 @@ def is_good_set(hg: Hypergraph | Analysis, vertex_set: int) -> GoodSetCertificat
     if ns & ~a.max_p_mask:
         return None
     num, den = _f_parts(hg.r, k)
-    size = vertex_set.bit_count()
-    if ns.bit_count() * den > num * size:
+    if ns.bit_count() * den > num * vertex_set.bit_count():
         return None
-    return GoodSetCertificate(
-        S=vertex_set,
-        k=k,
-        NS=tuple(bits(ns)),
-        bound=Fraction(num * size, den),
-    )
+    return _certificate(vertex_set, k, ns, num, den)
+
+
+def _certificate(s: int, k: int, ns: int, num: int, den: int) -> GoodSetCertificate:
+    bound = Fraction(num * s.bit_count(), den)
+    return GoodSetCertificate(S=s, k=k, NS=tuple(bits(ns)), bound=bound)
 
 
 def enumerate_good_sets(hg: Hypergraph | Analysis) -> Iterator[GoodSetCertificate]:
     """All good sets in increasing bitmask order by full subset scan.
 
-    Preconditions are validated eagerly; the scan itself is lazy.
+    Preconditions are validated eagerly; the scan itself is lazy. It reads
+    N(S) = hi[S >> h] | lo[S & low mask] from two tables, the edges at
+    each subset of the low h = n // 2 vertices and of the high n - h, and
+    builds a certificate only for a set that passes both tests of
+    ``is_good_set``: no edge of N(S) has p < k, and |N(S)| <= f_r(k) |S|.
     """
     a = analyze(hg)
     hg = a.hg
@@ -113,10 +117,17 @@ def enumerate_good_sets(hg: Hypergraph | Analysis) -> Iterator[GoodSetCertificat
         raise GoodSetError("good sets are undefined on edgeless hypergraphs")
 
     def scan() -> Iterator[GoodSetCertificate]:
+        h, k, below_k = hg.n // 2, a.k, ~a.max_p_mask
+        lo, hi = [0], [0]
+        for v, inc in enumerate(a.incidence):
+            table = lo if v < h else hi
+            table += [t | inc for t in table]
+        low = (1 << h) - 1
+        num, den = _f_parts(hg.r, k)
         for s in range(1, 1 << hg.n):
-            cert = is_good_set(a, s)
-            if cert is not None:
-                yield cert
+            ns = hi[s >> h] | lo[s & low]
+            if not ns & below_k and ns.bit_count() * den <= num * s.bit_count():
+                yield _certificate(s, k, ns, num, den)
 
     return scan()
 

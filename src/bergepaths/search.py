@@ -12,7 +12,9 @@ mask) states. It extends a path at its end v along the free edges at v,
 the set bits of ``incidence[v] & ~used_e``, lowest first. It has no
 per-node bound: along a path of d edges, d + min(unused edges, unused
 vertices) is min(m - excluded, n - 1) at every node, so one root check
-does all the pruning such a bound could. Besides the length it returns
+does all the pruning such a bound could. A path that reaches the cap
+stops the search by return value, and each call hands back its segment
+(its two path vertices) as it returns. Besides the length it returns
 the edge mask of a path of that length. It gives k, p(e) (the p-table,
 ``p_edge``), every ``longest_path_length`` query and the existence
 queries of ``turan_exact`` (with a floor and excluded edges).
@@ -20,7 +22,9 @@ queries of ``turan_exact`` (with a floor and excluded edges).
 The p-table is built over a longest-path cover. p(e) <= k always, and a
 length-k path is a witness that p(e) = k for each of its edges. So the
 edges of the path found for k, and of every anchored search that reaches
-k, get p = k with no search of their own.
+k, get p = k with no search of their own. So does an edge holding both
+vertices of a segment that a search reaching its cap handed back: it can
+replace the path's edge on that segment.
 
 ``_walk`` lazily yields every path of an exact length from one start
 vertex, in the same order. It gives ``iter_paths_of_length``, so
@@ -44,7 +48,7 @@ passes it along and each value is computed once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import combinations
 from typing import Iterator
 
 from .hypergraph import Hypergraph, bits, components as _components
@@ -176,6 +180,20 @@ def render_path(path: BergePath) -> str:
     return " ".join(out)
 
 
+class cached_property:
+    """``functools.cached_property`` without the lock that Python < 3.12 takes
+    on each first read; the value goes into the instance dict, as there."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Analysis:
     """Per-instance values of one hypergraph, each computed once, on first use."""
@@ -206,9 +224,10 @@ class Analysis:
         return self.hg.n <= 1 or len(self.components) == 1
 
     @cached_property
-    def _k_path(self) -> tuple[int, int]:
-        """(k, edge mask of one longest path)."""
-        return _max_len(self)
+    def _k_path(self) -> tuple[int, int, list[int]]:
+        """(k, edge mask of a longest path, its segments if the search hit its cap)."""
+        segments = []
+        return *_max_len(self, segments=segments), segments
 
     @cached_property
     def k(self) -> int:
@@ -219,19 +238,21 @@ class Analysis:
     def p_values(self) -> tuple[int, ...]:
         """p(e) for every edge; p never exceeds k.
 
-        Edges are taken in index order over a cover, the union of the
-        length-k paths found so far, seeded with the path found for k. An
-        edge in the cover has p = k with no search. Any other edge runs
-        the anchored search with cap k, and when that reaches k, the
-        edges of its path join the cover.
+        Edges are taken in index order over a cover, the length-k paths
+        found so far, seeded with the path found for k. An edge of the
+        cover has p = k with no search, and so has an edge holding both
+        vertices of a segment a search handed back. Any other edge runs
+        the anchored search with cap k, and when that reaches k, its path
+        and segments join the cover.
         """
-        k, cover = self._k_path
+        k, cover, segments = self._k_path
+        segments = list(segments)
         out = []
-        for i in range(self.hg.num_edges):
-            if cover >> i & 1:
+        for i, e in enumerate(self.hg.edges):
+            if cover >> i & 1 or any(e & q == q for q in segments):
                 out.append(k)
                 continue
-            p, path = _max_len(self, required_edge=i, stop_at=k)
+            p, path = _max_len(self, required_edge=i, stop_at=k, segments=segments)
             if p == k:
                 cover |= path
             out.append(p)
@@ -248,10 +269,6 @@ def analyze(hg: Hypergraph | Analysis) -> Analysis:
     return hg if isinstance(hg, Analysis) else Analysis(hg)
 
 
-class _Done(Exception):
-    pass
-
-
 def _max_len(
     a: Analysis,
     required_edge: int | None = None,
@@ -259,6 +276,7 @@ def _max_len(
     stop_at: int | None = None,
     floor: int = 0,
     excluded_edges: int = 0,
+    segments: list[int] | None = None,
 ) -> tuple[int, int]:
     """(length, path): the maximum qualifying path length, or
     min(maximum, stop_at) if stop_at is set, and the edge mask of a
@@ -270,6 +288,10 @@ def _max_len(
     once to growing P1 from x. Otherwise it grows paths from every start
     vertex, or from the required endpoint, and counts only those that use
     the required edge.
+
+    A path that reaches the cap ends the search by return value, and on
+    the way back each call appends its segment (the 2-bit mask of its two
+    path vertices) to ``segments``; a search that stops short adds none.
 
     No path is longer than reach = min(m - excluded, n - 1), so when
     reach <= ``floor`` nothing is searched; when floor > 0 the return
@@ -288,15 +310,17 @@ def _max_len(
     need = 0 if required_edge is None else 1 << required_edge
     best = floor
     best_e = excluded_edges
+    if segments is None:
+        segments = []
 
-    def extend(v: int, other: int, used_v: int, used_e: int, depth: int) -> None:
+    def extend(v: int, other: int, used_v: int, used_e: int, depth: int) -> bool:
         # other >= 0: the far end of the seed edge, not yet grown from
         nonlocal best, best_e
         if depth > best and used_e & need == need:
             best = depth
             best_e = used_e
             if best >= cap:
-                raise _Done
+                return True
         free = inc[v] & ~used_e
         while free:
             low = free & -free
@@ -305,22 +329,21 @@ def _max_len(
             for u in verts_of[low.bit_length() - 1]:
                 if used_v >> u & 1:
                     continue
-                extend(u, other, used_v | (1 << u), nxt_e, depth + 1)
-        if other >= 0:
-            extend(other, -1, used_v, used_e, depth)
+                if extend(u, other, used_v | (1 << u), nxt_e, depth + 1):
+                    segments.append(1 << v | 1 << u)
+                    return True
+        return other >= 0 and extend(other, -1, used_v, used_e, depth)
 
-    try:
-        if need and required_endpoint is None:
-            vs = verts_of[required_edge]
-            for j, x in enumerate(vs):
-                for y in vs[j + 1 :]:
-                    extend(y, x, (1 << x) | (1 << y), excluded_edges | need, 1)
-        else:
-            starts = range(n) if required_endpoint is None else (required_endpoint,)
-            for s in starts:
-                extend(s, -1, 1 << s, excluded_edges, 0)
-    except _Done:
-        pass
+    if need and required_endpoint is None:
+        for x, y in combinations(verts_of[required_edge], 2):
+            seed = 1 << x | 1 << y
+            if extend(y, x, seed, excluded_edges | need, 1):
+                segments.append(seed)
+                break
+    else:
+        for s in range(n) if required_endpoint is None else (required_endpoint,):
+            if extend(s, -1, 1 << s, excluded_edges, 0):
+                break
     return min(best, cap), best_e & ~excluded_edges
 
 

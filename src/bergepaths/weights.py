@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .hypergraph import (
     MAX_EDGE_SLOTS,
@@ -50,16 +51,12 @@ def f_r(r: int, x: int) -> Fraction:
         raise ValueError(f"f_r requires r >= 3, got r={r}")
     if x < 1:
         raise ValueError(f"f_r requires x >= 1, got x={x}")
-    return _f_any(r, x)
-
-
-def _f_any(r: int, x: int) -> Fraction:
-    # shared with the r=2 weight sums, where the branches collapse to x/2
     return Fraction(*_f_parts(r, x))
 
 
 def _f_parts(r: int, x: int) -> tuple[int, int]:
-    """f_r(x) as (numerator, positive denominator), not reduced."""
+    """f_r(x) as (numerator, positive denominator), not reduced. Also read
+    by the r = 2 weight sums, where the branches collapse to x/2."""
     if x == 1:
         return 1, r
     if x <= r - 1:
@@ -67,8 +64,7 @@ def _f_parts(r: int, x: int) -> tuple[int, int]:
     return comb(x, r - 1), r
 
 
-@dataclass(frozen=True)
-class EdgeWeight:
+class EdgeWeight(NamedTuple):
     edge: int
     p: int
     f: Fraction
@@ -132,13 +128,17 @@ def weight_report(hg: Hypergraph | Analysis) -> WeightReport:
     """
     a = analyze(hg)
     hg = a.hg
-    # at most n - 1 distinct p values: one f and 1/f per value, shared
+    # at most n - 1 distinct p values: one f and 1/f per value, shared; the
+    # sum of count * den / num is kept over integers
     table = {}
-    total = Fraction(0)
+    total_num, total_den = 0, 1
     for p, count in Counter(a.p_values).items():
-        f = _f_any(hg.r, p)
+        num, den = _f_parts(hg.r, p)
+        f = Fraction(num, den)
         table[p] = (f, 1 / f)
-        total += count / f
+        total_num = total_num * num + count * den * total_den
+        total_den *= num
+    total = Fraction(total_num, total_den)
     return WeightReport(
         per_edge=tuple(EdgeWeight(i, p, *table[p]) for i, p in enumerate(a.p_values)),
         total=total,

@@ -141,6 +141,17 @@ def test_gapcheck_table(capsys):
     assert "FAILS" not in out
 
 
+def test_gapcheck_below_the_domain_is_an_error(capsys):
+    # the table starts at k = 6 for r = 3 and at k = r + 1 otherwise
+    for r, kmax, first in ((3, 5, 6), (3, 1, 6), (4, 4, 5)):
+        assert main(["gapcheck", "--r", str(r), "--kmax", str(kmax)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"k = {first}" in captured.err
+    assert main(["gapcheck", "--r", "2", "--kmax", "1"]) == 2
+    assert "r >= 3" in capsys.readouterr().err
+
+
 def test_goodset_all_refuses_a_21_vertex_scan(tmp_path, capsys):
     path = tmp_path / "wide.hg"
     path.write_text("21 3\n0 1 2\n")

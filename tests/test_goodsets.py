@@ -8,8 +8,14 @@ from bergepaths.goodsets import (
     is_good_set,
     rotation_closure,
 )
-from bergepaths.hypergraph import complete_hypergraph, from_edge_lists, mask_of
-from bergepaths.search import BergePath, SearchError, iter_longest_paths, longest_path_length
+from bergepaths.hypergraph import Hypergraph, complete_hypergraph, from_edge_lists, mask_of
+from bergepaths.search import (
+    BergePath,
+    SearchError,
+    analyze,
+    iter_longest_paths,
+    longest_path_length,
+)
 from bergepaths.verify import SweepConfig, instances
 from bergepaths.weights import f_r
 
@@ -182,3 +188,38 @@ def test_integer_size_test_agrees_with_the_fraction_bound():
                     assert cert.NS == tuple(ns) and cert.bound == bound * s.bit_count()
                     tight += len(ns) == cert.bound
     assert tight > 0
+
+
+def reference_good_sets(a):
+    """The scan as one ``is_good_set`` call per subset, in increasing bitmask order."""
+    return [c for c in (is_good_set(a, s) for s in range(1, 1 << a.hg.n)) if c is not None]
+
+
+def test_table_scan_matches_the_per_subset_reference():
+    # every (4,3), (5,3) and (5,4) instance with an edge, 300 (6,3) samples,
+    # every disjoint union of two (4,3) instances (many with an edge of
+    # p < k), and odd n, where the two tables have unequal widths
+    cases = [
+        a
+        for n, r in ((4, 3), (5, 3), (5, 4))
+        for a in instances(SweepConfig(n=n, r=r, mode="exhaustive"))
+    ]
+    cases += instances(SweepConfig(n=6, r=3, mode="sample", sample_count=300, seed=9))
+    k43s = [a.hg.edges for a in instances(SweepConfig(n=4, r=3, mode="exhaustive"))]
+    cases += [Hypergraph(8, 3, low + tuple(e << 4 for e in high)) for low in k43s for high in k43s]
+    k43_and_chain = hg(9, 3, [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [4, 5, 6], [6, 7, 8])
+    cases += [k43_and_chain, hg(11, 3, *([2 * i, 2 * i + 1, 2 * i + 2] for i in range(5)))]
+    short = 0
+    for case in cases:
+        a = analyze(case)
+        if a.hg.num_edges:
+            assert list(enumerate_good_sets(a)) == reference_good_sets(a), a.hg
+            short += a.max_p_mask != (1 << a.hg.num_edges) - 1
+    assert short > 50
+
+
+def test_scan_preconditions_raise_at_the_call():
+    # the n > 20 refusal has its own test above
+    for bad in (hg(4, 2, [0, 1]), Hypergraph(4, 3, ())):
+        with pytest.raises(GoodSetError):
+            enumerate_good_sets(bad)

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -377,3 +379,65 @@ def test_p_table_on_k63_skips_the_edges_of_found_longest_paths(monkeypatch):
     assert a.p_values == (5,) * 20
     # one search for k, then fewer than one anchored search per edge
     assert len(calls) < 1 + 20
+
+
+def assert_segments_chain_the_path(h, segments, length, path):
+    # `length` segments, each a pair inside its own edge of the path mask,
+    # that join into one path on length + 1 distinct vertices
+    assert len(segments) == length and path.bit_count() == length
+    assert all(q.bit_count() == 2 for q in segments)
+    edges = [h.edges[i] for i in bits(path)]
+    assert any(
+        all(q & e == q for q, e in zip(segments, order)) for order in permutations(edges)
+    )
+    vertices = 0
+    for q in segments:
+        vertices |= q
+    assert vertices.bit_count() == length + 1
+    assert all(sum(q >> v & 1 for q in segments) <= 2 for v in bits(vertices))
+    reached = segments[0]
+    for _ in segments:  # length edges on length + 1 vertices: connected means a tree
+        for q in segments:
+            if q & reached:
+                reached |= q
+    assert reached == vertices
+
+
+# Connected (7,3) instances with an edge of p < k that meets a segment of a
+# length-k path found by an anchored search in one vertex, not two. A swap
+# test that accepted one shared vertex would give that edge p = k. No cover
+# instance has such an edge: its only edges of p < k lie in the unions, in
+# another component than every length-k path.
+SHORT_EDGE_BESIDE_A_SEGMENT = (
+    hg(7, 3, [0, 1, 2], [0, 1, 4], [1, 2, 4], [1, 3, 4], [0, 1, 5], [0, 1, 6], [0, 4, 6]),
+    hg(7, 3, [1, 4, 5], [2, 4, 6], [3, 4, 6], [0, 5, 6], [1, 5, 6], [3, 5, 6], [4, 5, 6]),
+)
+
+
+def test_capped_searches_hand_back_the_segments_of_their_path():
+    # A search that reaches its cap leaves the segments of its path, one
+    # inside each edge; one that stops short leaves none. The p-table gives
+    # p = k without a search to an edge holding both vertices of a segment,
+    # so it must still equal the anchored search on every edge.
+    checked = 0
+    for a in (*cover_instances(), *map(analyze, SHORT_EDGE_BESIDE_A_SEGMENT)):
+        h = a.hg
+        segments = []
+        k, path = search_module._max_len(Analysis(h), segments=segments)
+        if k == min(h.num_edges, h.n - 1) > 0:
+            assert_segments_chain_the_path(h, segments, k, path)
+            checked += 1
+        else:
+            assert segments == []
+        pvals = Analysis(h).p_values
+        for i in range(h.num_edges):
+            segments = []
+            p, path = search_module._max_len(a, required_edge=i, stop_at=k, segments=segments)
+            assert p == pvals[i], (h, i)
+            if p == k:
+                assert path >> i & 1
+                assert_segments_chain_the_path(h, segments, k, path)
+                checked += 1
+            else:
+                assert segments == []
+    assert checked > 10_000
