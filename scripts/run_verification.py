@@ -9,12 +9,13 @@ to stdout only; the reports carry no timings.
 """
 
 import argparse
+import itertools
 import sys
 import time
 from pathlib import Path
 
 from bergepaths.verify import SweepConfig, coro_path_check, report_write, run_sweep
-from bergepaths.weights import format_fraction, gap_check, turan_exact
+from bergepaths.weights import format_fraction, gap_check, gap_domain, turan_exact
 
 
 def banner(text: str) -> None:
@@ -96,7 +97,8 @@ def main() -> int:
     started = time.monotonic()
     bad = []
     for r in range(3, 9):
-        for k in range(6 if r == 3 else r + 1, 41):
+        start = next(k for k in itertools.count(1) if gap_domain(r, k))  # the domain's first k
+        for k in range(start, 41):
             res = gap_check(r, k)
             if not res.holds:
                 bad.append((r, k))

@@ -7,6 +7,7 @@ All rational quantities print as exact p/q strings.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -15,7 +16,7 @@ from .goodsets import GoodSetError, enumerate_good_sets, find_good_set, rotation
 from .hypergraph import HypergraphError, bits, load_hypergraph
 from .search import BergePath, SearchError, longest_berge_path, p_edge, render_path
 from .verify import CHECK_NAMES, SweepConfig, SweepConfigError, report_write, run_sweep
-from .weights import format_fraction, gap_check, turan_exact, weight_report
+from .weights import format_fraction, gap_check, gap_domain, turan_exact, weight_report
 
 
 def _vertex_list(mask: int) -> str:
@@ -160,7 +161,7 @@ def cmd_verify(args) -> int:
 def cmd_gapcheck(args) -> int:
     if args.r < 3:
         raise ValueError(f"gapcheck requires r >= 3, got r={args.r}")
-    start = 6 if args.r == 3 else args.r + 1
+    start = next(k for k in itertools.count(1) if gap_domain(args.r, k))
     if args.kmax < start:
         raise ValueError(
             f"--kmax {args.kmax} is below k = {start}, the first k of the domain for r = {args.r}"

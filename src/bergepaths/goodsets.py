@@ -64,6 +64,14 @@ class GoodSetCertificate:
         return self.S.bit_count()
 
 
+def _check_domain(hg: Hypergraph) -> None:
+    """Reject what good sets are undefined on: r < 3, then no edges."""
+    if hg.r < 3:
+        raise GoodSetError(f"good sets need r >= 3, got r={hg.r}")
+    if hg.num_edges == 0:
+        raise GoodSetError("good sets are undefined on edgeless hypergraphs")
+
+
 def is_good_set(hg: Hypergraph | Analysis, vertex_set: int) -> GoodSetCertificate | None:
     """Certificate if ``vertex_set`` is good in ``hg``, else None.
 
@@ -72,10 +80,7 @@ def is_good_set(hg: Hypergraph | Analysis, vertex_set: int) -> GoodSetCertificat
     """
     a = analyze(hg)
     hg = a.hg
-    if hg.r < 3:
-        raise GoodSetError(f"good sets need r >= 3, got r={hg.r}")
-    if hg.num_edges == 0:
-        raise GoodSetError("good sets are undefined on edgeless hypergraphs")
+    _check_domain(hg)
     if vertex_set == 0:
         raise GoodSetError("the empty set is never good")
     if vertex_set & ~hg.vertex_mask:
@@ -111,10 +116,7 @@ def enumerate_good_sets(hg: Hypergraph | Analysis) -> Iterator[GoodSetCertificat
     hg = a.hg
     if hg.n > MAX_SCAN_VERTICES:
         raise GoodSetError(f"subset scan over 2^{hg.n} sets refused (n > {MAX_SCAN_VERTICES})")
-    if hg.r < 3:
-        raise GoodSetError(f"good sets need r >= 3, got r={hg.r}")
-    if hg.num_edges == 0:
-        raise GoodSetError("good sets are undefined on edgeless hypergraphs")
+    _check_domain(hg)
 
     def scan() -> Iterator[GoodSetCertificate]:
         h, k, below_k = hg.n // 2, a.k, ~a.max_p_mask
@@ -251,10 +253,7 @@ def find_good_set(hg: Hypergraph | Analysis) -> GoodSetCertificate:
     """
     a = analyze(hg)
     hg = a.hg
-    if hg.r < 3:
-        raise GoodSetError(f"good sets need r >= 3, got r={hg.r}")
-    if hg.num_edges == 0:
-        raise GoodSetError("good sets are undefined on edgeless hypergraphs")
+    _check_domain(hg)
     if not a.connected:
         raise GoodSetError("find_good_set expects a connected hypergraph; split into components first")
 

@@ -156,8 +156,18 @@ def neighborhood(hg: Hypergraph, edge_refs, vertex_set: int) -> frozenset[int]:
     """
     if vertex_set & ~hg.vertex_mask:
         raise HypergraphError("vertex set contains ids >= n")
-    refs = range(hg.num_edges) if edge_refs is None else edge_refs
+    refs = range(hg.num_edges) if edge_refs is None else tuple(edge_refs)
+    for i in refs:
+        if not 0 <= i < hg.num_edges:
+            raise HypergraphError(f"edge index {i} outside 0..{hg.num_edges - 1}")
     return frozenset(i for i in refs if hg.edges[i] & vertex_set)
+
+
+def _induced(hg: Hypergraph, keep: int) -> tuple[Hypergraph, dict[int, int]]:
+    """The edges inside ``keep`` on its vertices relabelled 0..|keep|-1 in order, and the map."""
+    relabel = {v: i for i, v in enumerate(bits(keep))}
+    masks = [mask_of(relabel[v] for v in bits(e)) for e in hg.edges if e & keep == e]
+    return from_masks(len(relabel), hg.r, masks), relabel
 
 
 def delete_vertices(hg: Hypergraph, vertex_set: int) -> tuple[Hypergraph, dict[int, int]]:
@@ -169,26 +179,14 @@ def delete_vertices(hg: Hypergraph, vertex_set: int) -> tuple[Hypergraph, dict[i
     """
     if vertex_set & ~hg.vertex_mask:
         raise HypergraphError("vertex set contains ids >= n")
-    relabel = {}
-    new_id = 0
-    for v in range(hg.n):
-        if not vertex_set >> v & 1:
-            relabel[v] = new_id
-            new_id += 1
-    masks = [
-        mask_of(relabel[v] for v in bits(e)) for e in hg.edges if not e & vertex_set
-    ]
-    return from_masks(new_id, hg.r, masks), relabel
+    return _induced(hg, hg.vertex_mask & ~vertex_set)
 
 
-def components(hg: Hypergraph) -> list[tuple[Hypergraph, dict[int, int]]]:
-    """Connected components with their old-to-new vertex maps.
-
-    Two vertices are in one component when a chain of pairwise-meeting
-    edges joins them; this coincides with reachability by Berge paths.
-    Isolated vertices form their own edgeless components.
-    """
-    groups = []  # the vertex mask of each component, by least vertex
+def component_masks(hg: Hypergraph) -> tuple[int, ...]:
+    """The vertex mask of each connected component, ordered by least vertex.
+    A chain of pairwise-meeting edges, or a Berge path, joins any two
+    vertices of one component; an isolated vertex is a component of its own."""
+    groups = []
     left, rest = hg.edges, hg.vertex_mask
     while rest:
         group = rest & -rest  # flood from the least vertex left
@@ -198,28 +196,24 @@ def components(hg: Hypergraph) -> list[tuple[Hypergraph, dict[int, int]]]:
                 group |= e
         groups.append(group)
         rest &= ~group
-    if len(groups) == 1:
-        # connected: the relabelling below is the identity and rebuilds hg
-        return [(hg, {v: v for v in range(hg.n)})]
+    return tuple(groups)
 
-    out = []
-    for group in groups:
-        relabel = {v: i for i, v in enumerate(bits(group))}
-        masks = [mask_of(relabel[v] for v in bits(e)) for e in hg.edges if e & group == e]
-        out.append((from_masks(len(relabel), hg.r, masks), relabel))
-    return out
+
+def components(hg: Hypergraph) -> list[tuple[Hypergraph, dict[int, int]]]:
+    """The components of :func:`component_masks`, each with its old-to-new vertex map."""
+    return [_induced(hg, group) for group in component_masks(hg)]
 
 
 def is_connected(hg: Hypergraph) -> bool:
     """True when a single component contains all n vertices."""
-    return hg.n <= 1 or len(components(hg)) == 1
+    return len(component_masks(hg)) <= 1
 
 
 def complete_hypergraph(n: int, r: int) -> Hypergraph:
     """All C(n, r) possible edges."""
     if n < r:
         raise HypergraphError(f"complete hypergraph needs n >= r, got n={n}, r={r}")
-    return from_masks(n, r, (mask_of(c) for c in itertools.combinations(range(n), r)))
+    return Hypergraph(n, r, possible_edges(n, r))
 
 
 def possible_edges(n: int, r: int) -> tuple[int, ...]:

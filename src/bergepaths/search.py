@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .hypergraph import Hypergraph, bits, components as _components
+from .hypergraph import Hypergraph, bits, component_masks
 
 __all__ = [
     "Analysis",
@@ -155,20 +155,14 @@ def _validate_seq(hg: Hypergraph, vs, es) -> tuple[int, int]:
 
 
 def validate_cycle(hg: Hypergraph, cycle: BergeCycle) -> None:
+    """The open path v0 ... v(k-1), then its closing edge, by ``_validate_seq``."""
     vs, es = cycle.vertices, cycle.edges
     if len(vs) != len(es) or len(vs) < 2:
         raise SearchError(f"cycle needs k >= 2 vertices and k edges, got {len(vs)}/{len(es)}")
-    if len(set(vs)) != len(vs) or len(set(es)) != len(es):
-        raise SearchError("repeated vertex or edge in cycle")
-    k = len(vs)
-    for i, e in enumerate(es):
-        if not 0 <= e < hg.num_edges:
-            raise SearchError(f"edge index {e} out of range")
-        need = (1 << vs[i]) | (1 << vs[(i + 1) % k])
-        if hg.edges[e] & need != need:
-            raise SearchError(
-                f"edge {e} does not contain both {vs[i]} and {vs[(i + 1) % k]}"
-            )
+    _validate_seq(hg, vs, es[:-1])
+    _validate_seq(hg, (vs[-1], vs[0]), es[-1:])
+    if es[-1] in es[:-1]:
+        raise SearchError(f"repeated edge in cycle {tuple(es)}")
 
 
 def render_path(path: BergePath) -> str:
@@ -215,13 +209,13 @@ class Analysis:
         return tuple(inc)
 
     @cached_property
-    def components(self) -> tuple[tuple[Hypergraph, dict[int, int]], ...]:
-        """Connected components with their old-to-new vertex maps."""
-        return tuple(_components(self.hg))
+    def components(self) -> tuple[int, ...]:
+        """The vertex mask of each connected component, by least vertex."""
+        return component_masks(self.hg)
 
     @cached_property
     def connected(self) -> bool:
-        return self.hg.n <= 1 or len(self.components) == 1
+        return len(self.components) <= 1
 
     @cached_property
     def _k_path(self) -> tuple[int, int, list[int]]:

@@ -107,11 +107,12 @@ def classify_structure(hg: Hypergraph | Analysis) -> str:
     vertex count != r+1.
     """
     a = analyze(hg)
-    if a.hg.r == 2:
+    r, edges = a.hg.r, a.hg.edges
+    if r == 2:
         return OUT_OF_SCOPE_R2
     kinds = []
-    for comp, _ in a.components:
-        kind = _component_matches(comp.n, comp.num_edges, a.hg.r)
+    for mask in a.components:
+        kind = _component_matches(mask.bit_count(), sum(e & mask == e for e in edges), r)
         if kind is None:
             return NOT_EXTREMAL
         kinds.append(kind)

@@ -219,7 +219,17 @@ def test_table_scan_matches_the_per_subset_reference():
 
 
 def test_scan_preconditions_raise_at_the_call():
-    # the n > 20 refusal has its own test above
-    for bad in (hg(4, 2, [0, 1]), Hypergraph(4, 3, ())):
-        with pytest.raises(GoodSetError):
-            enumerate_good_sets(bad)
+    # the three entry points share the r >= 3 check, then the edge check;
+    # the scan's n > 20 refusal comes before both
+    cases = [
+        (hg(4, 2, [0, 1]), "good sets need r >= 3, got r=2"),
+        (Hypergraph(4, 2, ()), "good sets need r >= 3, got r=2"),
+        (Hypergraph(4, 3, ()), "good sets are undefined on edgeless hypergraphs"),
+    ]
+    for bad, message in cases:
+        for call in (enumerate_good_sets, find_good_set, lambda h: is_good_set(h, 1)):
+            with pytest.raises(GoodSetError) as err:
+                call(bad)
+            assert str(err.value) == message
+    with pytest.raises(GoodSetError, match=r"subset scan over 2\^21 sets refused"):
+        enumerate_good_sets(Hypergraph(21, 2, ()))

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +19,9 @@ from bergepaths.hypergraph import (
     possible_edges,
     serialize_hypergraph,
 )
+from bergepaths.search import Analysis
 from bergepaths.verify import SweepConfig, instances
+from bergepaths.weights import CASE_I, CASE_II, NOT_EXTREMAL, classify_structure
 
 
 def hg(n, r, *edges):
@@ -87,6 +91,13 @@ class TestNeighborhood:
         h = hg(5, 3, [0, 1, 2], [1, 2, 3], [2, 3, 4])
         assert neighborhood(h, [1, 2], mask_of([0])) == frozenset()
         assert neighborhood(h, [1, 2], mask_of([4])) == {2}
+
+    @pytest.mark.parametrize("refs, vertex_set", [([-1], 1 << 3), ([0, 7], 1)])
+    def test_edge_index_out_of_range(self, refs, vertex_set):
+        # unchecked, -1 would wrap to the last edge and 7 raise a bare IndexError
+        h = hg(5, 3, [0, 1, 2], [2, 3, 4])
+        with pytest.raises(HypergraphError, match=rf"edge index {refs[-1]} outside 0\.\.1"):
+            neighborhood(h, refs, vertex_set)
 
 
 class TestDelete:
@@ -198,9 +209,9 @@ def test_components_partition_vertices_and_edges(h):
 
 
 def relabelled_components(h):
-    """``components`` without its shortcut for a connected input, kept as a
-    reference: merge the vertex groups that an edge meets, then rebuild
-    each group on 0..|group|-1."""
+    """``components`` by another route, kept as a reference: merge the
+    vertex groups that an edge meets, then rebuild each group on
+    0..|group|-1."""
     groups = [1 << v for v in range(h.n)]
     for e in h.edges:
         merged = e
@@ -223,3 +234,44 @@ def test_components_of_connected_instances_equal_the_general_relabelling():
         assert got == relabelled_components(a.hg), a.hg
         connected += len(got) == 1
     assert connected > 0
+
+
+def induced(h, keep):
+    """The sub-hypergraph on the vertex set ``keep``, relabelled in order."""
+    relabel = {v: i for i, v in enumerate(v for v in range(h.n) if keep >> v & 1)}
+    inside = ([relabel[v] for v in bits(e)] for e in h.edges if set(bits(e)) <= set(relabel))
+    return from_edge_lists(len(relabel), h.r, inside), relabel
+
+
+def classified_by_rebuilt_components(h):
+    """The equality class read off each component rebuilt as a hypergraph."""
+    kinds = set()
+    for c, _ in relabelled_components(h):
+        if c.n == h.r and c.num_edges == 1 or c.n >= h.r + 2 and c.num_edges == comb(c.n, h.r):
+            kinds.add(CASE_II)
+        elif c.n == h.r + 1 and (2 <= c.num_edges <= h.r - 1 or c.num_edges == h.r + 1):
+            kinds.add(CASE_I)
+        else:
+            return NOT_EXTREMAL
+    return CASE_I if CASE_I in kinds else CASE_II
+
+
+def test_component_masks_and_induced_sub_hypergraphs_match_the_references():
+    """Every (4,3) and (5,3) instance, and every disjoint union of two (4,3)
+    instances on 8 vertices."""
+    small = [a.hg for n in (4, 5) for a in instances(SweepConfig(n=n, r=3, mode="exhaustive"))]
+    k43 = small[:16]
+    unions = [
+        Hypergraph(8, 3, g.edges + tuple(e << 4 for e in h.edges)) for g in k43 for h in k43
+    ]
+    assert len(small) == 16 + 1024 and len(unions) == 256
+    classes = set()
+    for h in small + unions:
+        a = Analysis(h)
+        assert a.components == tuple(mask_of(relabel) for _, relabel in components(h)), h
+        assert a.connected == (len(a.components) <= 1) == is_connected(h)
+        classes.add(classify_structure(a))
+        assert classify_structure(a) == classified_by_rebuilt_components(h), h
+        for s in range(1 << h.n):
+            assert delete_vertices(h, s) == induced(h, h.vertex_mask & ~s), (h, s)
+    assert classes == {CASE_I, CASE_II, NOT_EXTREMAL}

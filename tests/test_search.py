@@ -17,6 +17,7 @@ from bergepaths import search as search_module
 from bergepaths.oracle import OracleError, oracle_length_table, oracle_longest_path
 from bergepaths.search import (
     Analysis,
+    BergeCycle,
     BergePath,
     PathQuery,
     SearchError,
@@ -30,6 +31,7 @@ from bergepaths.search import (
     longest_path_length,
     p_edge,
     render_path,
+    validate_cycle,
     validate_path,
 )
 from bergepaths.verify import SweepConfig, instances
@@ -113,6 +115,32 @@ class TestValidatePath:
     def test_valid_path_passes(self):
         validate_path(CHAIN2, BergePath((0, 2, 3), (0, 1)))
         _validate_seq(CHAIN2, [1], [])
+
+    # K43: e0 = {0, 1, 2}, e1 = {0, 1, 3}, e2 = {0, 2, 3}, e3 = {1, 2, 3}
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            ((0, 1), (0,), "cycle needs k >= 2 vertices and k edges, got 2/1"),
+            ((-1, 0), (0, 1), "vertex -1 outside 0..3"),
+            ((0, 4), (0, 1), "vertex 4 outside 0..3"),
+            ((0, 9), (0, 1), "vertex 9 outside 0..3"),
+            ((0, 1, 0), (0, 1, 2), "repeated vertex in path (0, 1, 0)"),
+            ((0, 1), (0, 0), "repeated edge in cycle (0, 0)"),
+            ((0, 1, 2), (0, 3, 0), "repeated edge in cycle (0, 3, 0)"),
+            ((0, 1), (0, 4), "edge index 4 out of range"),
+            ((0, 1, 2), (2, 3, 0), "edge 2 does not contain both 0 and 1"),
+            ((0, 1, 3), (0, 2, 1), "edge 2 does not contain both 1 and 3"),
+            ((0, 1, 3), (1, 3, 3), "edge 3 does not contain both 3 and 0"),
+        ],
+    )
+    def test_each_cycle_error_message(self, vertices, edges, message):
+        with pytest.raises(SearchError) as err:
+            validate_cycle(K43, BergeCycle(vertices, edges))
+        assert str(err.value) == message
+
+    def test_valid_cycles_pass(self):
+        validate_cycle(K43, BergeCycle((0, 1), (0, 1)))
+        validate_cycle(K43, BergeCycle((0, 1, 2, 3), (0, 3, 2, 1)))
 
     @pytest.mark.parametrize(
         "vertices, edges, message",
