@@ -7,8 +7,10 @@ All rational quantities print as exact p/q strings.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
+import os
 import sys
 import time
 
@@ -141,6 +143,8 @@ def cmd_verify(args) -> int:
         sample_count=args.sample,
         seed=args.seed,
     )
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     started = time.monotonic()
     report = run_sweep(cfg, workers=args.workers)
     elapsed_ms = int((time.monotonic() - started) * 1000)

@@ -9,10 +9,11 @@ Three depth-first searches do all the work.
 
 ``_max_len`` is a maximizer over (endpoint, used-vertex mask, used-edge
 mask) states. It extends a path at its end v along the free edges at v,
-the set bits of ``incidence[v] & ~used_e``, lowest first. It has no
-per-node bound: along a path of d edges, d + min(unused edges, unused
-vertices) is min(m - excluded, n - 1) at every node, so one root check
-does all the pruning such a bound could. A path that reaches the cap
+the set bits of ``incidence[v] & ~used_e``, and along edge i to its next
+vertices, the set bits of ``edges[i] & ~used_v``, each lowest first. It
+has no per-node bound: along a path of d edges, d + min(unused edges,
+unused vertices) is min(m - excluded, n - 1) at every node, so one root
+check does all the pruning such a bound could. A path that reaches the cap
 stops the search by return value, and each call hands back its segment
 (its two path vertices) as it returns. Besides the length it returns
 the edge mask of a path of that length. It gives k, p(e) (the p-table,
@@ -195,16 +196,11 @@ class Analysis:
     hg: Hypergraph
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """The vertices of each edge, ascending."""
-        return tuple(tuple(bits(e)) for e in self.hg.edges)
-
-    @cached_property
     def incidence(self) -> tuple[int, ...]:
         """Bitmask over edge indices of the edges holding each vertex."""
         inc = [0] * self.hg.n
-        for i, vs in enumerate(self.adjacency):
-            for v in vs:
+        for i, e in enumerate(self.hg.edges):
+            for v in bits(e):
                 inc[v] |= 1 << i
         return tuple(inc)
 
@@ -300,7 +296,7 @@ def _max_len(
         return 0, 0
     if reach <= floor:
         return min(floor, cap), 0
-    inc, verts_of = a.incidence, a.adjacency
+    inc, edges = a.incidence, a.hg.edges
     need = 0 if required_edge is None else 1 << required_edge
     best = floor
     best_e = excluded_edges
@@ -320,16 +316,17 @@ def _max_len(
             low = free & -free
             free ^= low
             nxt_e = used_e | low
-            for u in verts_of[low.bit_length() - 1]:
-                if used_v >> u & 1:
-                    continue
-                if extend(u, other, used_v | (1 << u), nxt_e, depth + 1):
-                    segments.append(1 << v | 1 << u)
+            nxt_v = edges[low.bit_length() - 1] & ~used_v
+            while nxt_v:
+                b = nxt_v & -nxt_v
+                nxt_v ^= b
+                if extend(b.bit_length() - 1, other, used_v | b, nxt_e, depth + 1):
+                    segments.append(1 << v | b)
                     return True
         return other >= 0 and extend(other, -1, used_v, used_e, depth)
 
     if need and required_endpoint is None:
-        for x, y in combinations(verts_of[required_edge], 2):
+        for x, y in combinations(bits(edges[required_edge]), 2):
             seed = 1 << x | 1 << y
             if extend(y, x, seed, excluded_edges | need, 1):
                 segments.append(seed)
@@ -380,7 +377,7 @@ def _walk(a: Analysis, start: int, length: int) -> Iterator[tuple[list[int], lis
     """
     if min(a.hg.num_edges, a.hg.n - 1) < length:
         return iter(())
-    inc, verts_of = a.incidence, a.adjacency
+    inc, edges = a.incidence, a.hg.edges
     path_v = [start] + [0] * length
     path_e = [0] * length
 
@@ -393,12 +390,13 @@ def _walk(a: Analysis, start: int, length: int) -> Iterator[tuple[list[int], lis
             low = free & -free
             free ^= low
             i = low.bit_length() - 1
-            for u in verts_of[i]:
-                if used_v >> u & 1:
-                    continue
+            nxt_v = edges[i] & ~used_v
+            while nxt_v:
+                b = nxt_v & -nxt_v
+                nxt_v ^= b
                 path_e[depth] = i
-                path_v[depth + 1] = u
-                yield from extend(u, used_v | (1 << u), used_e | low, depth + 1)
+                path_v[depth + 1] = u = b.bit_length() - 1
+                yield from extend(u, used_v | b, used_e | low, depth + 1)
 
     return extend(start, 1 << start, 0, 0)
 

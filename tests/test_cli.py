@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bergepaths import weights
+from bergepaths import cli, weights
 from bergepaths.cli import main
 from bergepaths.hypergraph import complete_hypergraph, serialize_hypergraph
 
@@ -105,6 +105,21 @@ def test_verify_exhaustive_with_report(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data["instances"] == 16 and data["violations"] == []
     assert "0 violations" in capsys.readouterr().out
+
+
+def test_verify_refuses_a_report_in_a_missing_directory_before_the_sweep(
+    tmp_path, monkeypatch, capsys
+):
+    def no_sweep(cfg, workers=1):
+        raise AssertionError("ran the sweep")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    out_file = tmp_path / "missing" / "x.json"
+    argv = ["verify", "--n", "5", "--r", "3", "--sample", "3", "--seed", "1"]
+    assert main(argv + ["--out", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{out_file}'\n"
 
 
 def test_verify_sample_requires_seed(capsys):
