@@ -143,6 +143,8 @@ def cmd_verify(args) -> int:
         sample_count=args.sample,
         seed=args.seed,
     )
+    if args.out and os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     started = time.monotonic()

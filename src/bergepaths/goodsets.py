@@ -103,35 +103,43 @@ def _certificate(s: int, k: int, ns: int, num: int, den: int) -> GoodSetCertific
     return GoodSetCertificate(S=s, k=k, NS=tuple(bits(ns)), bound=bound)
 
 
-def enumerate_good_sets(hg: Hypergraph | Analysis) -> Iterator[GoodSetCertificate]:
-    """All good sets in increasing bitmask order by full subset scan.
+def _good_masks(a: Analysis) -> Iterator[tuple[int, int]]:
+    """(S, N(S)) of every good set in increasing bitmask order, as masks.
 
-    Preconditions are validated eagerly; the scan itself is lazy. It reads
-    N(S) = hi[S >> h] | lo[S & low mask] from two tables, the edges at
-    each subset of the low h = n // 2 vertices and of the high n - h, and
-    builds a certificate only for a set that passes both tests of
-    ``is_good_set``: no edge of N(S) has p < k, and |N(S)| <= f_r(k) |S|.
+    Refuses n > MAX_SCAN_VERTICES, then r < 3, then no edges, at the call;
+    the scan itself is lazy. It reads N(S) = hi[S >> h] | lo[S & low mask]
+    from two tables, the edges at each subset of the low h = n // 2
+    vertices and of the high n - h, and keeps a set that passes both tests
+    of ``is_good_set``: no edge of N(S) has p < k, and |N(S)| <= f_r(k) |S|.
     """
-    a = analyze(hg)
     hg = a.hg
     if hg.n > MAX_SCAN_VERTICES:
         raise GoodSetError(f"subset scan over 2^{hg.n} sets refused (n > {MAX_SCAN_VERTICES})")
     _check_domain(hg)
 
-    def scan() -> Iterator[GoodSetCertificate]:
-        h, k, below_k = hg.n // 2, a.k, ~a.max_p_mask
+    def scan() -> Iterator[tuple[int, int]]:
+        h, below_k = hg.n // 2, ~a.max_p_mask
         lo, hi = [0], [0]
         for v, inc in enumerate(a.incidence):
             table = lo if v < h else hi
             table += [t | inc for t in table]
         low = (1 << h) - 1
-        num, den = _f_parts(hg.r, k)
+        num, den = _f_parts(hg.r, a.k)
         for s in range(1, 1 << hg.n):
             ns = hi[s >> h] | lo[s & low]
             if not ns & below_k and ns.bit_count() * den <= num * s.bit_count():
-                yield _certificate(s, k, ns, num, den)
+                yield s, ns
 
     return scan()
+
+
+def enumerate_good_sets(hg: Hypergraph | Analysis) -> Iterator[GoodSetCertificate]:
+    """All good sets in increasing bitmask order by full subset scan: a
+    certificate for each set ``_good_masks`` yields, refused at the call
+    as it refuses."""
+    a = analyze(hg)
+    masks = _good_masks(a)
+    return (_certificate(s, a.k, ns, *_f_parts(a.hg.r, a.k)) for s, ns in masks)
 
 
 @dataclass(frozen=True)

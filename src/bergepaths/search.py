@@ -200,8 +200,10 @@ class Analysis:
         """Bitmask over edge indices of the edges holding each vertex."""
         inc = [0] * self.hg.n
         for i, e in enumerate(self.hg.edges):
-            for v in bits(e):
-                inc[v] |= 1 << i
+            while e:
+                low = e & -e
+                inc[low.bit_length() - 1] |= 1 << i
+                e ^= low
         return tuple(inc)
 
     @cached_property

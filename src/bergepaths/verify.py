@@ -19,15 +19,12 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from .goodsets import (
-    check_rotation_bound,
-    check_spanning_cycle_property,
-    enumerate_good_sets,
-)
+from .goodsets import _good_masks, check_rotation_bound, check_spanning_cycle_property
 from .hypergraph import (
     MAX_EDGE_SLOTS,
     MAX_SEARCH_EDGE_SLOTS,
@@ -42,7 +39,7 @@ from .search import (
     has_path_with_endpoints,
     longest_path_length,
 )
-from .weights import NOT_EXTREMAL, classify_structure, format_fraction, weight_report
+from .weights import NOT_EXTREMAL, classify_structure, format_fraction, weight_sum
 
 CHECK_NAMES = (
     "inequality",
@@ -130,31 +127,28 @@ def _check_instance(a: Analysis, checks: frozenset[str]) -> tuple[str, list[tupl
     failures: list[tuple[str, str]] = []
     connected = a.connected
 
+    cls = classify_structure(a)
     if "inequality" in checks or "equality_classifier" in checks:
-        rep = weight_report(a)
-        cls = rep.classification
-        if "inequality" in checks and rep.total > hg.n:
-            failures.append(
-                ("inequality", f"weight sum {format_fraction(rep.total)} exceeds n={hg.n}")
-            )
-        if "equality_classifier" in checks and rep.is_equality != (cls != NOT_EXTREMAL):
+        num, den = weight_sum(a)  # compared over integers; a message shows it reduced
+        if "inequality" in checks and num > hg.n * den:
+            total = format_fraction(Fraction(num, den))
+            failures.append(("inequality", f"weight sum {total} exceeds n={hg.n}"))
+        if "equality_classifier" in checks and (num == hg.n * den) != (cls != NOT_EXTREMAL):
+            total = format_fraction(Fraction(num, den))
             failures.append(
                 (
                     "equality_classifier",
-                    f"exact sum {format_fraction(rep.total)} vs n={hg.n} disagrees with"
-                    f" structural class {cls}",
+                    f"exact sum {total} vs n={hg.n} disagrees with structural class {cls}",
                 )
             )
-    else:
-        cls = classify_structure(a)
 
     if "good_set_existence" in checks and connected and hg.num_edges:
-        first = next(enumerate_good_sets(a), None)
+        first = next(_good_masks(a), None)
         if first is None:
             failures.append(("good_set_existence", "no good set exists"))
         else:
             k = a.k
-            if k > hg.r and first.S == hg.vertex_mask and hg.n != k + 1:
+            if k > hg.r and first[0] == hg.vertex_mask and hg.n != k + 1:
                 failures.append(
                     (
                         "good_set_existence",

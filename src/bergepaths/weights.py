@@ -14,7 +14,6 @@ arithmetic, never by floating-point tolerance.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -121,6 +120,19 @@ def classify_structure(hg: Hypergraph | Analysis) -> str:
     return CASE_I if CASE_I in kinds else CASE_II
 
 
+def weight_sum(hg: Hypergraph | Analysis) -> tuple[int, int]:
+    """The exact sum of 1/f_r(p(e)) over the edges as (numerator, positive
+    denominator), not reduced: one term count * den / num per distinct p."""
+    a = analyze(hg)
+    r, ps = a.hg.r, a.p_values
+    total_num, total_den = 0, 1
+    for p in set(ps):
+        num, den = _f_parts(r, p)
+        total_num = total_num * num + ps.count(p) * den * total_den
+        total_den *= num
+    return total_num, total_den
+
+
 def weight_report(hg: Hypergraph | Analysis) -> WeightReport:
     """Per-edge weights, the exact reciprocal sum, and the equality class.
 
@@ -129,17 +141,12 @@ def weight_report(hg: Hypergraph | Analysis) -> WeightReport:
     """
     a = analyze(hg)
     hg = a.hg
-    # at most n - 1 distinct p values: one f and 1/f per value, shared; the
-    # sum of count * den / num is kept over integers
+    # at most n - 1 distinct p values: one f and 1/f per value, shared
     table = {}
-    total_num, total_den = 0, 1
-    for p, count in Counter(a.p_values).items():
+    for p in set(a.p_values):
         num, den = _f_parts(hg.r, p)
-        f = Fraction(num, den)
-        table[p] = (f, 1 / f)
-        total_num = total_num * num + count * den * total_den
-        total_den *= num
-    total = Fraction(total_num, total_den)
+        table[p] = (Fraction(num, den), Fraction(den, num))
+    total = Fraction(*weight_sum(a))
     return WeightReport(
         per_edge=tuple(EdgeWeight(i, p, *table[p]) for i, p in enumerate(a.p_values)),
         total=total,

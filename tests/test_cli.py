@@ -122,6 +122,20 @@ def test_verify_refuses_a_report_in_a_missing_directory_before_the_sweep(
     assert captured.err == f"error: [Errno 2] No such file or directory: '{out_file}'\n"
 
 
+def test_verify_refuses_a_report_path_that_is_a_directory_before_the_sweep(
+    tmp_path, monkeypatch, capsys
+):
+    def no_sweep(cfg, workers=1):
+        raise AssertionError("ran the sweep")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    argv = ["verify", "--n", "5", "--r", "3", "--sample", "3", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_verify_sample_requires_seed(capsys):
     code = main(["verify", "--n", "4", "--r", "3", "--sample", "10"])
     assert code == 2

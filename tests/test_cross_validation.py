@@ -1,12 +1,13 @@
 """Independent brute-force cross-checks for the search kernels, the exact
-Turan numbers and the rotation closure fixpoint, on exhaustively
-enumerated or sampled small instances."""
+Turan numbers, the rotation closure fixpoint, the integer weight sum and
+the sweep's verdicts, on exhaustively enumerated or sampled small instances."""
 
 import itertools
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bergepaths import goodsets, weights
+from bergepaths import goodsets, verify, weights
 from bergepaths.goodsets import _close, check_rotation_bound, rotation_closure
 from bergepaths.hypergraph import (
     Hypergraph,
@@ -15,7 +16,12 @@ from bergepaths.hypergraph import (
     neighborhood,
     possible_edges,
 )
-from bergepaths.oracle import ORACLE_MAX_EDGES, _assignable, oracle_longest_path
+from bergepaths.oracle import (
+    ORACLE_MAX_EDGES,
+    _assignable,
+    oracle_length_table,
+    oracle_longest_path,
+)
 from bergepaths.search import (
     BergePath,
     PathQuery,
@@ -539,3 +545,179 @@ def test_rotation_bound_violation_is_reported(monkeypatch):
             f" > 2|tau|-1={2 * tau - 1}",
         )
     ]
+
+
+def k43_unions():
+    """(low, high, union) for every disjoint union of two (4,3) instances on
+    8 vertices, the second shifted to vertices 4..7; many have an edge of p < k."""
+    k43s = list(every_instance(4, 3))
+    for low in k43s:
+        for high in k43s:
+            yield low, high, Hypergraph(8, 3, low.edges + tuple(e << 4 for e in high.edges))
+
+
+def sum_cover_instances():
+    """Every (4,3), (5,3) and (5,4) instance, 300 sampled (6,3) ones, then
+    every disjoint union of two (4,3) instances."""
+    for n, r in ((4, 3), (5, 3), (5, 4)):
+        yield from instances(SweepConfig(n=n, r=r, mode="exhaustive"))
+    yield from instances(SweepConfig(n=6, r=3, mode="sample", sample_count=300, seed=9))
+    yield from (analyze(union) for _, _, union in k43_unions())
+
+
+def test_weight_sum_matches_the_sum_over_the_oracle_p_table():
+    """weight_sum, over integers, equals the Fraction sum of 1/f_r(p) over
+    p from the factorial oracle, or from the reference kernel's anchored
+    searches above the oracle's edge cap; r = 2, where f(x) = x/2, included.
+    A path stays inside one component, so a union's p-table is its two
+    parts' oracle tables."""
+    def slow_p_table(a):
+        if a.hg.num_edges <= ORACLE_MAX_EDGES:
+            return oracle_length_table(a.hg)[1]
+        return tuple(reference_max_len(a, required_edge=i)[0] for i in range(a.hg.num_edges))
+
+    cases = [
+        (a, slow_p_table(a))
+        for n, r in ((4, 3), (5, 3), (5, 4), (4, 2), (5, 2))
+        for a in instances(SweepConfig(n=n, r=r, mode="exhaustive"))
+    ]
+    sampled = SweepConfig(n=6, r=3, mode="sample", sample_count=300, seed=9)
+    cases += [(a, slow_p_table(a)) for a in instances(sampled)]
+    part = {hg.edges: oracle_length_table(hg)[1] for hg in every_instance(4, 3)}
+    cases += [(analyze(u), part[low.edges] + part[high.edges]) for low, high, u in k43_unions()]
+    for a, pvals in cases:
+        r = a.hg.r
+        inv = [Fraction(2, p) if r == 2 else 1 / weights.f_r(r, p) for p in pvals]
+        num, den = weights.weight_sum(a)
+        assert den > 0 and Fraction(num, den) == sum(inv, Fraction(0)), a.hg
+    assert sum(a.hg.num_edges > ORACLE_MAX_EDGES for a, _ in cases) > 200
+    assert sum(min(p) < max(p) for _, p in cases if p) > 50  # some edge has p < k
+
+
+def reference_check_instance(a, checks):
+    """``verify._check_instance`` in its earlier form, kept as a slow
+    reference: the sum and its equality read from a whole ``weight_report``,
+    the good set from the first certificate of ``enumerate_good_sets``."""
+    hg = a.hg
+    failures = []
+    connected = a.connected
+
+    if "inequality" in checks or "equality_classifier" in checks:
+        rep = weights.weight_report(a)
+        cls = rep.classification
+        if "inequality" in checks and rep.total > hg.n:
+            failures.append(
+                ("inequality", f"weight sum {weights.format_fraction(rep.total)} exceeds n={hg.n}")
+            )
+        if "equality_classifier" in checks and rep.is_equality != (cls != weights.NOT_EXTREMAL):
+            failures.append(
+                (
+                    "equality_classifier",
+                    f"exact sum {weights.format_fraction(rep.total)} vs n={hg.n} disagrees with"
+                    f" structural class {cls}",
+                )
+            )
+    else:
+        cls = weights.classify_structure(a)
+
+    if "good_set_existence" in checks and connected and hg.num_edges:
+        first = next(goodsets.enumerate_good_sets(a), None)
+        if first is None:
+            failures.append(("good_set_existence", "no good set exists"))
+        else:
+            k = a.k
+            if k > hg.r and first.S == hg.vertex_mask and hg.n != k + 1:
+                failures.append(
+                    (
+                        "good_set_existence",
+                        f"k={k} > r but the only good set is V(H) and n != k+1",
+                    )
+                )
+
+    if "rotation_bound" in checks:
+        detail = check_rotation_bound(a)
+        if detail is not None:
+            failures.append(("rotation_bound", detail))
+
+    if "spanning_cycle" in checks and connected:
+        rep = goodsets.check_spanning_cycle_property(a)
+        if not rep.passed:
+            failures.append(("spanning_cycle", rep.detail))
+
+    if "coro_path" in checks:
+        starts, pairs, _ = verify._coro_path(a)
+        failures.extend(("coro_path", detail) for _, detail in starts)
+        m = hg.num_edges
+        failures.extend(("coro_path", f"no length-{m} path joins v{u} and v{w}") for u, w in pairs)
+
+    return cls, failures
+
+
+# every check but rotation_bound, whose body the integer route leaves alone
+# and which costs seconds per dense (6,3) instance
+CHEAP_CHECKS = frozenset(verify.CHECK_NAMES) - {"rotation_bound"}
+
+
+def test_sweep_verdicts_match_the_fraction_route():
+    """The sweep's integer tests give the class and failures of the
+    ``weight_report`` route, with every cheap check and with each of the
+    weight checks alone, where the class comes from the other branch."""
+    check_sets = (CHEAP_CHECKS, frozenset({"inequality"}), frozenset({"good_set_existence"}))
+    classes = set()
+    for a in sum_cover_instances():
+        for checks in check_sets:
+            got = _check_instance(a, checks)
+            assert got == reference_check_instance(analyze(a.hg), checks), (a.hg, checks)
+            classes.add(got[0])
+    assert classes == {"case_i", "case_ii", "not_extremal"}
+
+
+def with_p_values(hg, pvals):
+    """An Analysis of ``hg`` whose p-table reads ``pvals``."""
+    a = analyze(hg)
+    a.__dict__["p_values"] = tuple(pvals)
+    return a
+
+
+def test_weight_violation_messages_show_the_reduced_sum():
+    """A p-table that pushes the sum over n, and one that pulls an equality
+    instance under it, give the messages of the Fraction route byte for
+    byte; the integers leave both sums unreduced (16/2 and 12/6)."""
+    k43 = hypergraph_from_subset(4, 3, possible_edges(4, 3), 0b1111)  # case_i, sum 4 = n
+    both = frozenset({"inequality", "equality_classifier"})
+    cases = (
+        (
+            (2, 2, 2, 2),  # 4 * 1/f_3(2) = 4 * 4/2
+            (16, 2),
+            [
+                ("inequality", "weight sum 8/1 exceeds n=4"),
+                (
+                    "equality_classifier",
+                    "exact sum 8/1 vs n=4 disagrees with structural class case_i",
+                ),
+            ],
+        ),
+        (
+            (4, 4, 4, 4),  # 4 * 1/f_3(4) = 4 * 3/6
+            (12, 6),
+            [
+                (
+                    "equality_classifier",
+                    "exact sum 2/1 vs n=4 disagrees with structural class case_i",
+                )
+            ],
+        ),
+    )
+    for pvals, parts, failures in cases:
+        assert weights.weight_sum(with_p_values(k43, pvals)) == parts
+        assert _check_instance(with_p_values(k43, pvals), both) == ("case_i", failures)
+        assert reference_check_instance(with_p_values(k43, pvals), both) == ("case_i", failures)
+    # a not_extremal instance whose faked sum lands on n exactly: 2 + 2 + 1 = 5
+    chain = hypergraph_from_subset(5, 3, possible_edges(5, 3), 0b111)
+    a = with_p_values(chain, (2, 2, 3))
+    assert weights.classify_structure(a) == weights.NOT_EXTREMAL
+    assert Fraction(*weights.weight_sum(a)) == 5
+    message = "exact sum 5/1 vs n=5 disagrees with structural class not_extremal"
+    expected = ("not_extremal", [("equality_classifier", message)])
+    assert _check_instance(a, both) == expected
+    assert reference_check_instance(with_p_values(chain, (2, 2, 3)), both) == expected

@@ -1,5 +1,6 @@
 import pytest
 
+from bergepaths import goodsets
 from bergepaths.goodsets import (
     GoodSetError,
     check_spanning_cycle_property,
@@ -219,17 +220,55 @@ def test_table_scan_matches_the_per_subset_reference():
 
 
 def test_scan_preconditions_raise_at_the_call():
-    # the three entry points share the r >= 3 check, then the edge check;
-    # the scan's n > 20 refusal comes before both
+    # the entry points share the r >= 3 check, then the edge check; the
+    # scan's n > 20 refusal comes before both
     cases = [
         (hg(4, 2, [0, 1]), "good sets need r >= 3, got r=2"),
         (Hypergraph(4, 2, ()), "good sets need r >= 3, got r=2"),
         (Hypergraph(4, 3, ()), "good sets are undefined on edgeless hypergraphs"),
     ]
     for bad, message in cases:
-        for call in (enumerate_good_sets, find_good_set, lambda h: is_good_set(h, 1)):
+        for call in (
+            enumerate_good_sets,
+            lambda h: goodsets._good_masks(analyze(h)),
+            find_good_set,
+            lambda h: is_good_set(h, 1),
+        ):
             with pytest.raises(GoodSetError) as err:
                 call(bad)
             assert str(err.value) == message
-    with pytest.raises(GoodSetError, match=r"subset scan over 2\^21 sets refused"):
-        enumerate_good_sets(Hypergraph(21, 2, ()))
+    for call in (enumerate_good_sets, lambda h: goodsets._good_masks(analyze(h))):
+        with pytest.raises(GoodSetError, match=r"subset scan over 2\^21 sets refused"):
+            call(Hypergraph(21, 2, ()))
+
+
+def test_scan_fallback_runs_only_when_k_is_at_most_r(monkeypatch):
+    """``find_good_set`` falls back to the subset scan only where k <= r: on
+    every connected (4,3), (5,3) and (5,4) instance with an edge, 6, 15 and
+    25 times, the scan counts of the route census, and on 300 sampled (6,3)
+    and (6,4) instances."""
+    fallbacks = []
+    scan = goodsets.enumerate_good_sets
+
+    def spy(a):
+        fallbacks.append((a.k, a.hg.r))
+        return scan(a)
+
+    monkeypatch.setattr(goodsets, "enumerate_good_sets", spy)
+    configs = [
+        SweepConfig(n=n, r=r, mode="exhaustive", connected_only=True)
+        for n, r in ((4, 3), (5, 3), (5, 4))
+    ]
+    configs += [
+        SweepConfig(n=6, r=r, mode="sample", connected_only=True, sample_count=300, seed=9)
+        for r in (3, 4)
+    ]
+    counts = []
+    for cfg in configs:
+        fallbacks.clear()
+        for a in instances(cfg):
+            if a.hg.num_edges:
+                find_good_set(a)
+        assert all(k <= r for k, r in fallbacks), (cfg, fallbacks)
+        counts.append(len(fallbacks))
+    assert counts[:3] == [6, 15, 25]
