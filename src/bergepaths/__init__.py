@@ -38,6 +38,7 @@ from .weights import (
 from .goodsets import (
     GoodSetCertificate,
     RotationFamily,
+    check_good_set_existence,
     check_rotation_bound,
     check_spanning_cycle_property,
     enumerate_good_sets,
@@ -49,7 +50,6 @@ from .verify import (
     SweepConfig,
     SweepReport,
     coro_path_check,
-    report_read,
     report_write,
     run_sweep,
 )

@@ -13,6 +13,9 @@ terminals, until no segment of P both avoids the terminal set and meets
 it through its edge. At that fixpoint the edges of P meeting the
 terminal set tau number at most 2|tau| - 1.
 
+The sweeps certify three structural claims through ``check_*``
+functions, each returning the detail of a violation or None.
+
 One private core, ``_close``, computes that fixpoint on plain vertex and
 edge sequences and bitmasks, with no object per path. Three callers read
 from it: ``rotation_closure`` wraps one given path into a
@@ -131,6 +134,20 @@ def _good_masks(a: Analysis) -> Iterator[tuple[int, int]]:
                 yield s, ns
 
     return scan()
+
+
+def check_good_set_existence(hg: Hypergraph | Analysis) -> str | None:
+    """A connected hypergraph with an edge has a good set, and one other
+    than V(H) when k > r, unless n = k + 1: the detail of a failure read
+    from the first set of the subset scan, or None."""
+    a = analyze(hg)
+    first = next(_good_masks(a), None)
+    if first is None:
+        return "no good set exists"
+    n, r, k = a.hg.n, a.hg.r, a.k
+    if k > r and first[0] == a.hg.vertex_mask and n != k + 1:
+        return f"k={k} > r but the only good set is V(H) and n != k+1"
+    return None
 
 
 def enumerate_good_sets(hg: Hypergraph | Analysis) -> Iterator[GoodSetCertificate]:
@@ -253,11 +270,17 @@ def check_rotation_bound(hg: Hypergraph | Analysis) -> str | None:
 def find_good_set(hg: Hypergraph | Analysis) -> GoodSetCertificate:
     """A good set of a connected hypergraph with r >= 3 and an edge.
 
-    Attempts, in order: the whole vertex set when a (k+1)-cycle exists;
+    Attempts, in order: the whole vertex set when k = 1 (connected, that
+    is one edge on n = r vertices) or a (k+1)-cycle exists;
     rotation-closure terminal sets over maximum-length paths, preferring
     the smallest accepted set (ties by bitmask); an exhaustive subset
-    scan as a last resort. A single-edge hypergraph (k = 1 connected
-    means n = r) short-circuits to S = the edge.
+    scan as a last resort.
+
+    In every sweep measured, the scan runs only where the longest path
+    uses all m = k <= r edges, and there V(H) is good too: every
+    p(e) = k, and m = k <= f_r(k) n, as f_r(k) = k/(r+1) and n >= r + 1
+    for 2 <= k <= r - 1, and f_r(r) = 1 and n >= r. The scan still
+    returns its first good set, which need not be V(H).
     """
     a = analyze(hg)
     hg = a.hg
@@ -266,15 +289,9 @@ def find_good_set(hg: Hypergraph | Analysis) -> GoodSetCertificate:
         raise GoodSetError("find_good_set expects a connected hypergraph; split into components first")
 
     k = a.k
-    if k == 1:
-        cert = is_good_set(a, hg.edges[0])
-        assert cert is not None, "a lone edge is always good: |N(S)| = 1 = f_r(1) r"
-        return cert
-
-    cycle = find_berge_cycle(a, k + 1)
-    if cycle is not None:
+    if k == 1 or find_berge_cycle(a, k + 1) is not None:
         cert = is_good_set(a, hg.vertex_mask)
-        assert cert is not None, "a spanning (k+1)-cycle forces V(H) to be good"
+        assert cert is not None, "a lone edge or a spanning (k+1)-cycle makes V(H) good"
         return cert
 
     candidates = []
@@ -294,37 +311,19 @@ def find_good_set(hg: Hypergraph | Analysis) -> GoodSetCertificate:
     raise AssertionError("no good set found; contradicts the existence theorems")
 
 
-@dataclass(frozen=True)
-class SpanningCycleReport:
-    """Outcome of the spanning-cycle property check on one hypergraph.
-
-    When a (k+1)-cycle exists its defining vertices must be all of V(H)
-    and every edge must satisfy p(e) = k; vacuously passing otherwise.
-    A failure would indicate a search bug, not a mathematical gap.
-    """
-
-    k: int
-    cycle_found: bool
-    spans: bool | None
-    all_p_equal_k: bool | None
-    passed: bool
-    detail: str
-
-
-def check_spanning_cycle_property(hg: Hypergraph | Analysis) -> SpanningCycleReport:
+def check_spanning_cycle_property(hg: Hypergraph | Analysis) -> str | None:
+    """A (k+1)-cycle of a connected hypergraph spans V(H) and forces
+    p(e) = k on every edge: the detail of a cycle that breaks either, or
+    None, also when there is no such cycle. A failure would indicate a
+    search bug, not a mathematical gap."""
     a = analyze(hg)
     if not a.connected:
         raise GoodSetError("spanning-cycle property applies to connected hypergraphs")
-    k = a.k
-    if k + 1 < 2:
-        return SpanningCycleReport(k, False, None, None, True, "no edges, vacuous")
-    cycle = find_berge_cycle(a, k + 1)
+    cycle = find_berge_cycle(a, a.k + 1) if a.k else None
     if cycle is None:
-        return SpanningCycleReport(k, False, None, None, True, "no (k+1)-cycle, vacuous")
+        return None
     spans = mask_of(cycle.vertices) == a.hg.vertex_mask
     all_max = a.max_p_mask == (1 << a.hg.num_edges) - 1
-    passed = spans and all_max
-    detail = "ok" if passed else (
-        f"cycle {cycle.vertices} spans={spans} all_p_equal_k={all_max}"
-    )
-    return SpanningCycleReport(k, True, spans, all_max, passed, detail)
+    if spans and all_max:
+        return None
+    return f"cycle {cycle.vertices} spans={spans} all_p_equal_k={all_max}"

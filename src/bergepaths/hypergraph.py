@@ -217,7 +217,9 @@ def complete_hypergraph(n: int, r: int) -> Hypergraph:
 
 
 def possible_edges(n: int, r: int) -> tuple[int, ...]:
-    """All r-subset bitmasks on n vertices in increasing order."""
+    """All r-subset bitmasks on n vertices in increasing order; n is checked first."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise HypergraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     return tuple(sorted(mask_of(c) for c in itertools.combinations(range(n), r)))
 
 

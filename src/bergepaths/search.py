@@ -38,8 +38,8 @@ tens of thousands of longest paths.
 walking every path: it tries vertex sequences in order and keeps a
 prefix only while its consecutive pairs can take distinct edges, a
 bipartite matching (``_matchable``). It gives ``longest_berge_path`` and
-the cycles of ``find_berge_cycle`` and ``has_berge_cycle``, among them
-the (k+1)-cycles behind good sets.
+the cycles of ``find_berge_cycle``, among them the (k+1)-cycles behind
+good sets.
 
 Per-instance values live on an :class:`Analysis`. Every function that
 reads them takes a Hypergraph or an Analysis, so a caller holding one
@@ -65,7 +65,6 @@ __all__ = [
     "longest_path_length",
     "p_edge",
     "find_berge_cycle",
-    "has_berge_cycle",
     "iter_paths_of_length",
     "iter_longest_paths",
     "has_path_with_endpoints",
@@ -514,11 +513,6 @@ def longest_berge_path(hg: Hypergraph | Analysis) -> tuple[int, BergePath]:
     if __debug__:
         validate_path(a.hg, witness)
     return a.k, witness
-
-
-def has_berge_cycle(hg: Hypergraph | Analysis, length: int) -> bool:
-    """True when a Berge cycle of exactly ``length`` exists."""
-    return find_berge_cycle(hg, length) is not None
 
 
 def find_berge_cycle(hg: Hypergraph | Analysis, length: int) -> BergeCycle | None:

@@ -24,7 +24,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from .goodsets import _good_masks, check_rotation_bound, check_spanning_cycle_property
+from .goodsets import check_good_set_existence, check_rotation_bound, check_spanning_cycle_property
 from .hypergraph import (
     MAX_EDGE_SLOTS,
     MAX_SEARCH_EDGE_SLOTS,
@@ -55,6 +55,14 @@ VIOLATION_CAP = 100
 MAX_WORKERS = 64
 
 CENSUS_KEYS = ("case_i", "case_ii", "not_extremal")
+
+# (check, goodsets function giving its failure detail or None, whether it
+# runs only on a connected instance with an edge), in report order
+STRUCTURAL_CHECKS = (
+    ("good_set_existence", check_good_set_existence, True),
+    ("rotation_bound", check_rotation_bound, False),
+    ("spanning_cycle", check_spanning_cycle_property, True),
+)
 
 
 class SweepConfigError(ValueError):
@@ -125,7 +133,7 @@ def _check_instance(a: Analysis, checks: frozenset[str]) -> tuple[str, list[tupl
     """Classification label plus (check, detail) pairs for failed checks."""
     hg = a.hg
     failures: list[tuple[str, str]] = []
-    connected = a.connected
+    whole = a.connected and hg.num_edges > 0
 
     cls = classify_structure(a)
     if "inequality" in checks or "equality_classifier" in checks:
@@ -142,29 +150,11 @@ def _check_instance(a: Analysis, checks: frozenset[str]) -> tuple[str, list[tupl
                 )
             )
 
-    if "good_set_existence" in checks and connected and hg.num_edges:
-        first = next(_good_masks(a), None)
-        if first is None:
-            failures.append(("good_set_existence", "no good set exists"))
-        else:
-            k = a.k
-            if k > hg.r and first[0] == hg.vertex_mask and hg.n != k + 1:
-                failures.append(
-                    (
-                        "good_set_existence",
-                        f"k={k} > r but the only good set is V(H) and n != k+1",
-                    )
-                )
-
-    if "rotation_bound" in checks:
-        detail = check_rotation_bound(a)
-        if detail is not None:
-            failures.append(("rotation_bound", detail))
-
-    if "spanning_cycle" in checks and connected:
-        rep = check_spanning_cycle_property(a)
-        if not rep.passed:
-            failures.append(("spanning_cycle", rep.detail))
+    for name, check, gated in STRUCTURAL_CHECKS:
+        if name in checks and (whole or not gated):
+            detail = check(a)
+            if detail is not None:
+                failures.append((name, detail))
 
     if "coro_path" in checks:
         starts, pairs, _ = _coro_path(a)
@@ -292,11 +282,6 @@ def report_write(report: SweepReport, path) -> None:
     data = json.dumps(report_to_dict(report), indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(data)
-
-
-def report_read(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 @dataclass

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bergepaths import cli, weights
+from bergepaths import cli, hypergraph, weights
 from bergepaths.cli import main
 from bergepaths.hypergraph import complete_hypergraph, serialize_hypergraph
 
@@ -134,6 +134,19 @@ def test_verify_refuses_a_report_path_that_is_a_directory_before_the_sweep(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_verify_refuses_1000_vertices_before_building_the_slots(monkeypatch, capsys):
+    # C(1000, 3) = 166,167,000 slot masks would not fit in memory
+    def no_slot(vertices):
+        raise AssertionError("built a slot mask")
+
+    monkeypatch.setattr(hypergraph, "mask_of", no_slot)
+    argv = ["verify", "--n", "1000", "--r", "3", "--sample", "1", "--seed", "1"]
+    assert main(argv + ["--checks", "inequality"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vertex count 1000 outside 0..64\n"
 
 
 def test_verify_sample_requires_seed(capsys):

@@ -28,7 +28,6 @@ from bergepaths.search import (
     _max_len,
     _walk,
     analyze,
-    has_berge_cycle,
     find_berge_cycle,
     has_path_with_endpoints,
     iter_longest_paths,
@@ -368,9 +367,8 @@ def test_cycle_kernel_matches_brute_force_exhaustively():
             continue
         for length in range(2, hg.num_edges + 1):
             expected = brute_force_cycle_exists(hg, length)
-            assert has_berge_cycle(hg, length) == expected, (hg, length)
             witness = find_berge_cycle(hg, length)
-            assert (witness is not None) == expected
+            assert (witness is not None) == expected, (hg, length)
             if witness is not None:
                 validate_cycle(hg, witness)
 
@@ -640,9 +638,9 @@ def reference_check_instance(a, checks):
             failures.append(("rotation_bound", detail))
 
     if "spanning_cycle" in checks and connected:
-        rep = goodsets.check_spanning_cycle_property(a)
-        if not rep.passed:
-            failures.append(("spanning_cycle", rep.detail))
+        detail = goodsets.check_spanning_cycle_property(a)
+        if detail is not None:
+            failures.append(("spanning_cycle", detail))
 
     if "coro_path" in checks:
         starts, pairs, _ = verify._coro_path(a)

@@ -3,6 +3,7 @@ import pytest
 from bergepaths import goodsets
 from bergepaths.goodsets import (
     GoodSetError,
+    check_good_set_existence,
     check_spanning_cycle_property,
     enumerate_good_sets,
     find_good_set,
@@ -11,13 +12,15 @@ from bergepaths.goodsets import (
 )
 from bergepaths.hypergraph import Hypergraph, complete_hypergraph, from_edge_lists, mask_of
 from bergepaths.search import (
+    BergeCycle,
     BergePath,
     SearchError,
     analyze,
+    find_berge_cycle,
     iter_longest_paths,
     longest_path_length,
 )
-from bergepaths.verify import SweepConfig, instances
+from bergepaths.verify import SweepConfig, _check_instance, instances
 from bergepaths.weights import f_r
 
 
@@ -136,15 +139,15 @@ class TestFindGoodSet:
 
 class TestSpanningCycle:
     def test_complete_k43(self):
-        rep = check_spanning_cycle_property(K43)
-        assert rep.cycle_found and rep.spans and rep.all_p_equal_k and rep.passed
+        assert find_berge_cycle(K43, 4) is not None
+        assert check_spanning_cycle_property(K43) is None
 
     def test_chain_vacuous(self):
-        rep = check_spanning_cycle_property(CHAIN2)
-        assert not rep.cycle_found and rep.passed
+        assert find_berge_cycle(CHAIN2, 3) is None
+        assert check_spanning_cycle_property(CHAIN2) is None
 
     def test_complete_k53(self):
-        assert check_spanning_cycle_property(K53).passed
+        assert check_spanning_cycle_property(K53) is None
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -243,15 +246,16 @@ def test_scan_preconditions_raise_at_the_call():
 
 
 def test_scan_fallback_runs_only_when_k_is_at_most_r(monkeypatch):
-    """``find_good_set`` falls back to the subset scan only where k <= r: on
-    every connected (4,3), (5,3) and (5,4) instance with an edge, 6, 15 and
-    25 times, the scan counts of the route census, and on 300 sampled (6,3)
-    and (6,4) instances."""
+    """``find_good_set`` falls back to the subset scan only where k <= r and
+    the m edges number k, so V(H) is good: on every connected (4,3), (5,3)
+    and (5,4) instance with an edge, 6, 15 and 25 times, the scan counts of
+    the route census, and on 300 sampled (6,3) and (6,4) instances."""
     fallbacks = []
     scan = goodsets.enumerate_good_sets
 
     def spy(a):
-        fallbacks.append((a.k, a.hg.r))
+        whole_is_good = is_good_set(a, a.hg.vertex_mask) is not None
+        fallbacks.append((a.k, a.hg.r, a.hg.num_edges, whole_is_good))
         return scan(a)
 
     monkeypatch.setattr(goodsets, "enumerate_good_sets", spy)
@@ -269,6 +273,42 @@ def test_scan_fallback_runs_only_when_k_is_at_most_r(monkeypatch):
         for a in instances(cfg):
             if a.hg.num_edges:
                 find_good_set(a)
-        assert all(k <= r for k, r in fallbacks), (cfg, fallbacks)
+        # the longest path uses every edge, so V(H) is good as well
+        assert all(k <= r and m == k and good for k, r, m, good in fallbacks), (cfg, fallbacks)
         counts.append(len(fallbacks))
     assert counts[:3] == [6, 15, 25]
+
+
+def test_structural_failure_details_are_pinned(monkeypatch):
+    """Each structural check's failure detail, faked into being, reads the
+    same from the goodsets function and from the sweep's instance check;
+    V(H) as the only good set fails only where k > r and n != k + 1."""
+    chain3 = hg(7, 3, [0, 1, 2], [2, 3, 4], [4, 5, 6])  # k = 3 = r
+    chain5 = hg(11, 3, *([2 * i, 2 * i + 1, 2 * i + 2] for i in range(5)))  # k = 5 > r
+    whole_first = lambda a: iter([(a.hg.vertex_mask, (1 << a.hg.num_edges) - 1)])
+    broken_cycle = lambda a, length: BergeCycle((0, 1, 2), (0, 1, 2))
+    only_whole = "k=5 > r but the only good set is V(H) and n != k+1"
+    cases = (
+        ("good_set_existence", "_good_masks", lambda a: iter(()), K43, "no good set exists"),
+        ("good_set_existence", "_good_masks", whole_first, chain5, only_whole),
+        ("good_set_existence", "_good_masks", whole_first, chain3, None),
+        ("good_set_existence", "_good_masks", whole_first, K53, None),  # k = 4, n = k + 1
+        (
+            "spanning_cycle",
+            "find_berge_cycle",
+            broken_cycle,
+            K43,
+            "cycle (0, 1, 2) spans=False all_p_equal_k=True",
+        ),
+    )
+    checks = {
+        "good_set_existence": check_good_set_existence,
+        "spanning_cycle": check_spanning_cycle_property,
+    }
+    for name, attr, fake, h, detail in cases:
+        assert checks[name](h) is None
+        with monkeypatch.context() as m:
+            m.setattr(goodsets, attr, fake)
+            assert checks[name](analyze(h)) == detail
+            _, failures = _check_instance(analyze(h), frozenset({name}))
+            assert failures == ([] if detail is None else [(name, detail)])

@@ -145,6 +145,11 @@ class TestConstructions:
         with pytest.raises(HypergraphError):
             complete_hypergraph(2, 3)
 
+    def test_slots_refused_past_64_vertices(self):
+        # C(65, 3) slots would fit; the vertex cap is what refuses them
+        with pytest.raises(HypergraphError, match=r"^vertex count 65 outside 0\.\.64$"):
+            possible_edges(65, 3)
+
     @pytest.mark.parametrize("n,r,count", [(3, 3, 2), (4, 3, 16), (5, 3, 1024)])
     def test_enumeration_counts(self, n, r, count):
         # each subset mask of the possible edges builds a distinct labeled instance

@@ -24,7 +24,6 @@ from bergepaths.search import (
     _validate_seq,
     analyze,
     find_berge_cycle,
-    has_berge_cycle,
     has_path_with_endpoints,
     iter_paths_of_length,
     longest_berge_path,
@@ -222,11 +221,6 @@ class TestCycles:
     def test_length_below_two_rejected(self):
         with pytest.raises(SearchError):
             find_berge_cycle(K43, 1)
-
-    def test_existence_matches_witness(self):
-        for h in (SINGLE, CHAIN2, K43, K53):
-            for l in range(2, 6):
-                assert has_berge_cycle(h, l) == (find_berge_cycle(h, l) is not None)
 
 
 class TestQueries:
