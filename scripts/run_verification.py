@@ -64,7 +64,7 @@ def main() -> int:
         report_write(report, out / f"{name}.json")
         failures += len(report.violations)
 
-    for r in (3, 4):
+    for r in range(3, 7):
         banner(f"start-vertex suite r={r}")
         started = time.monotonic()
         rep = coro_path_check(r)

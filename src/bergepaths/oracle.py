@@ -60,17 +60,11 @@ def oracle_longest_path(hg: Hypergraph, query: PathQuery | None = None) -> int:
     edge_verts = [tuple(bits(e)) for e in hg.edges]
     hi = min(m, hg.n - 1) if hg.n else 0
     cap = hi if query.target_length is None else max(query.target_length, 0)
-    endpoint = query.required_endpoint
     for length in range(hi, 0, -1):
         for seq in permutations(range(m), length):
             if query.required_edge is not None and query.required_edge not in seq:
                 continue
-            if endpoint is None:
-                if _assignable(edge_verts, seq, None, None):
-                    return min(length, cap)
-            elif _assignable(edge_verts, seq, endpoint, None) or _assignable(
-                edge_verts, seq, None, endpoint
-            ):
+            if _assignable(edge_verts, seq, None, None):
                 return min(length, cap)
     return 0
 

@@ -18,7 +18,7 @@ stops the search by return value, and each call hands back its segment
 (its two path vertices) as it returns. Besides the length it returns
 the edge mask of a path of that length. It gives k, p(e) (the p-table,
 ``p_edge``), every ``longest_path_length`` query and the existence
-queries of ``turan_exact`` (with a floor and excluded edges).
+queries of ``turan_exact`` (with excluded edges).
 
 The p-table is built over a longest-path cover. p(e) <= k always, and a
 length-k path is a witness that p(e) = k for each of its edges. So the
@@ -29,10 +29,11 @@ replace the path's edge on that segment.
 
 ``_walk`` lazily yields every path of an exact length from one start
 vertex, in the same order. It gives ``iter_paths_of_length``, so
-``iter_longest_paths``, and ``has_path_with_endpoints``. Maximizing and
-enumerating stay two searches: a merged kernel would branch on its
-caller, and the walk must stay lazy, since a (6,3) instance can have
-tens of thousands of longest paths.
+``iter_longest_paths``, and the far ends that the (r+1)-vertex path
+claim of ``verify`` reads. Maximizing and enumerating stay two
+searches: a merged kernel would branch on its caller, and the walk must
+stay lazy, since a (6,3) instance can have tens of thousands of longest
+paths.
 
 ``_least_seq`` finds the lexicographically least witness without
 walking every path: it tries vertex sequences in order and keeps a
@@ -67,7 +68,6 @@ __all__ = [
     "find_berge_cycle",
     "iter_paths_of_length",
     "iter_longest_paths",
-    "has_path_with_endpoints",
     "validate_path",
     "validate_cycle",
     "render_path",
@@ -100,7 +100,7 @@ class BergeCycle:
 
 @dataclass(frozen=True)
 class PathQuery:
-    """Constraints for one search: force an edge, fix a terminal, or stop early.
+    """Constraints for one search: force an edge onto the path, or stop early.
 
     ``target_length`` is an early-exit threshold: the search may stop once a
     qualifying path of that length is found, so the result is
@@ -108,7 +108,6 @@ class PathQuery:
     """
 
     required_edge: int | None = None
-    required_endpoint: int | None = None
     target_length: int | None = None
 
 
@@ -263,43 +262,35 @@ def analyze(hg: Hypergraph | Analysis) -> Analysis:
 def _max_len(
     a: Analysis,
     required_edge: int | None = None,
-    required_endpoint: int | None = None,
     stop_at: int | None = None,
-    floor: int = 0,
     excluded_edges: int = 0,
     segments: list[int] | None = None,
 ) -> tuple[int, int]:
     """(length, path): the maximum qualifying path length, or
     min(maximum, stop_at) if stop_at is set, and the edge mask of a
-    qualifying path of that length (0 when no path beat ``floor``).
+    qualifying path of that length (0 when there is none).
 
-    With a required edge and no required endpoint, every qualifying path
-    reads P1 x edge y P2: the search seeds the path with the edge on each
-    pair {x, y} of its vertices, grows P2 from y and, at any node, switches
-    once to growing P1 from x. Otherwise it grows paths from every start
-    vertex, or from the required endpoint, and counts only those that use
-    the required edge.
+    With a required edge every qualifying path reads P1 x edge y P2: the
+    search seeds the path with the edge on each pair {x, y} of its
+    vertices, grows P2 from y and, at any node, switches once to growing
+    P1 from x. Otherwise it grows paths from every start vertex.
 
     A path that reaches the cap ends the search by return value, and on
     the way back each call appends its segment (the 2-bit mask of its two
     path vertices) to ``segments``; a search that stops short adds none.
 
-    No path is longer than reach = min(m - excluded, n - 1), so when
-    reach <= ``floor`` nothing is searched; when floor > 0 the return
-    value is only meaningful compared against floor (used for pure
-    existence queries). ``excluded_edges`` masks out edge indices
-    entirely, letting callers search sub-hypergraphs in place.
+    No path is longer than min(m - excluded, n - 1). ``excluded_edges``
+    masks out edge indices entirely, letting callers search
+    sub-hypergraphs in place.
     """
     n = a.hg.n
-    reach = min(a.hg.num_edges - excluded_edges.bit_count(), n - 1)
-    cap = reach if stop_at is None else min(reach, stop_at)
+    cap = min(a.hg.num_edges - excluded_edges.bit_count(), n - 1)
+    if stop_at is not None:
+        cap = min(cap, stop_at)
     if cap <= 0:
         return 0, 0
-    if reach <= floor:
-        return min(floor, cap), 0
     inc, edges = a.incidence, a.hg.edges
-    need = 0 if required_edge is None else 1 << required_edge
-    best = floor
+    best = 0
     best_e = excluded_edges
     if segments is None:
         segments = []
@@ -307,7 +298,7 @@ def _max_len(
     def extend(v: int, other: int, used_v: int, used_e: int, depth: int) -> bool:
         # other >= 0: the far end of the seed edge, not yet grown from
         nonlocal best, best_e
-        if depth > best and used_e & need == need:
+        if depth > best:
             best = depth
             best_e = used_e
             if best >= cap:
@@ -326,39 +317,31 @@ def _max_len(
                     return True
         return other >= 0 and extend(other, -1, used_v, used_e, depth)
 
-    if need and required_endpoint is None:
+    if required_edge is not None:
         for x, y in combinations(bits(edges[required_edge]), 2):
             seed = 1 << x | 1 << y
-            if extend(y, x, seed, excluded_edges | need, 1):
+            if extend(y, x, seed, excluded_edges | 1 << required_edge, 1):
                 segments.append(seed)
                 break
     else:
-        for s in range(n) if required_endpoint is None else (required_endpoint,):
+        for s in range(n):
             if extend(s, -1, 1 << s, excluded_edges, 0):
                 break
-    return min(best, cap), best_e & ~excluded_edges
+    return best, best_e & ~excluded_edges
 
 
 def longest_path_length(hg: Hypergraph | Analysis, query: PathQuery | None = None) -> int:
     """Maximum Berge path length subject to an optional query.
 
     Returns 0 when no qualifying path with at least one edge exists (a
-    single vertex is a length-0 path). A path "satisfies" a required
-    endpoint when either terminal equals it.
+    single vertex is a length-0 path).
     """
     a = analyze(hg)
     if query is None:
         return a.k
     if query.required_edge is not None and not 0 <= query.required_edge < a.hg.num_edges:
         raise SearchError(f"edge index {query.required_edge} out of range")
-    if query.required_endpoint is not None and not 0 <= query.required_endpoint < a.hg.n:
-        raise SearchError(f"vertex {query.required_endpoint} out of range")
-    return _max_len(
-        a,
-        required_edge=query.required_edge,
-        required_endpoint=query.required_endpoint,
-        stop_at=query.target_length,
-    )[0]
+    return _max_len(a, required_edge=query.required_edge, stop_at=query.target_length)[0]
 
 
 def p_edge(hg: Hypergraph | Analysis, edge: int) -> int:
@@ -534,13 +517,3 @@ def find_berge_cycle(hg: Hypergraph | Analysis, length: int) -> BergeCycle | Non
         validate_cycle(a.hg, cycle)
     return cycle
 
-
-def has_path_with_endpoints(hg: Hypergraph | Analysis, u: int, w: int, length: int) -> bool:
-    """True when a Berge path of exactly ``length`` has terminals u and w."""
-    a = analyze(hg)
-    for v in (u, w):
-        if not 0 <= v < a.hg.n:
-            raise SearchError(f"vertex {v} out of range")
-    if u == w or length <= 0:
-        return u == w and length == 0
-    return any(vs[-1] == w for vs, _ in _walk(a, u, length))

@@ -20,7 +20,6 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Iterator
 
@@ -28,17 +27,12 @@ from .goodsets import check_good_set_existence, check_rotation_bound, check_span
 from .hypergraph import (
     MAX_EDGE_SLOTS,
     MAX_SEARCH_EDGE_SLOTS,
+    bits,
     hypergraph_from_subset,
     possible_edges,
     serialize_hypergraph,
 )
-from .search import (
-    Analysis,
-    PathQuery,
-    analyze,
-    has_path_with_endpoints,
-    longest_path_length,
-)
+from .search import Analysis, _walk, analyze
 from .weights import NOT_EXTREMAL, classify_structure, format_fraction, weight_sum
 
 CHECK_NAMES = (
@@ -167,21 +161,33 @@ def _check_instance(a: Analysis, checks: frozenset[str]) -> tuple[str, list[tupl
 
 def _coro_path(a: Analysis) -> tuple[list[tuple[int, str]], list[tuple[int, int]], list[int]]:
     """Start failures (v, detail), pair failures (u, w) and uncovered single-edge
-    starts v of the ``CoroPathReport`` claim; all empty unless n = r+1, 1 <= |E| < r."""
+    starts v of the ``CoroPathReport`` claim; all empty unless n = r+1, 1 <= |E| < r.
+
+    One walk per vertex v collects the far ends of the length-|E| paths
+    from v. A path reversed is a path, so u and w > u are joined when w
+    is a far end of u, and the walk from v stops once its far ends hold
+    every vertex above v, or after its first path when no pair is checked.
+    """
     hg = a.hg
-    m = hg.num_edges
+    n, m = hg.n, hg.num_edges
     starts, pairs, uncovered = [], [], []
-    if hg.n != hg.r + 1 or not 1 <= m < hg.r:
+    if n != hg.r + 1 or not 1 <= m < hg.r:
         return starts, pairs, uncovered
-    for v in range(hg.n):
+    check_pairs = hg.r >= 4 and m >= 2
+    for v in range(n):
+        above = (1 << n) - (2 << v) if check_pairs else 0
+        ends = 0
+        for vs, _ in _walk(a, v, m):
+            ends |= 1 << vs[-1]
+            if ends & above == above:
+                break
         expected = m >= 2 or bool(hg.edges[0] >> v & 1)
-        got = longest_path_length(a, PathQuery(required_endpoint=v, target_length=m)) >= m
+        got = ends != 0
         if got != expected:
             starts.append((v, f"length-{m} path starting at v{v}: expected {expected}, got {got}"))
         elif not expected:
             uncovered.append(v)
-    if hg.r >= 4 and m >= 2:
-        pairs = [p for p in combinations(range(hg.n), 2) if not has_path_with_endpoints(a, *p, m)]
+        pairs.extend((v, w) for w in bits(above & ~ends))
     return starts, pairs, uncovered
 
 

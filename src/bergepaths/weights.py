@@ -223,12 +223,15 @@ def turan_exact(n: int, r: int, k: int) -> TuranResult:
     best_subset = 0
 
     def free(chosen: int) -> bool:
-        # chosen less its newest slot holds no length-k path, so every
-        # length-k path of chosen uses that slot. The search still seeds
-        # from vertices, not from the slot: these queries mostly refute a
-        # path, and refuting one grown outward from the slot visits every
-        # (suffix, prefix) pair around it.
-        return _max_len(pool, stop_at=k, floor=k - 1, excluded_edges=full & ~chosen)[0] < k
+        # No path is longer than min(|chosen|, n - 1), so a shorter reach
+        # is free with no search. Else chosen less its newest slot holds no
+        # length-k path, so every length-k path of chosen uses that slot.
+        # The search still seeds from vertices, not from the slot: these
+        # queries mostly refute a path, and refuting one grown outward from
+        # the slot visits every (suffix, prefix) pair around it.
+        if min(chosen.bit_count(), n - 1) < k:
+            return True
+        return _max_len(pool, stop_at=k, excluded_edges=full & ~chosen)[0] < k
 
     def grow(avail: int, chosen: int, count: int, conflicts: list[int], goal: int) -> bool:
         # Visits the free supersets of chosen within avail, lowest slot

@@ -29,7 +29,6 @@ from bergepaths.search import (
     _walk,
     analyze,
     find_berge_cycle,
-    has_path_with_endpoints,
     iter_longest_paths,
     longest_berge_path,
     longest_path_length,
@@ -46,8 +45,9 @@ def every_instance(n, r):
 
 
 def test_anchored_p_table_matches_vertex_start_search():
-    """The p-table, grown outward from each edge, equals the search from
-    every start vertex that counts only the paths using the edge."""
+    """The p-table, grown outward from each edge, equals the reference
+    search from every start vertex that counts only the paths using the
+    edge."""
     sample = SweepConfig(n=6, r=3, mode="sample", sample_count=300, seed=11)
     sampled = (a.hg for a in instances(sample))
     cases = itertools.chain(
@@ -57,7 +57,7 @@ def test_anchored_p_table_matches_vertex_start_search():
         a = analyze(hg)
         expected = tuple(
             max(
-                _max_len(a, required_edge=i, required_endpoint=v, stop_at=a.k)[0]
+                reference_max_len(a, required_edge=i, required_endpoint=v, stop_at=a.k)[0]
                 for v in range(hg.n)
             )
             for i in range(hg.num_edges)
@@ -86,7 +86,9 @@ def reference_max_len(
 ):
     """The maximizer in its earlier form, kept as a slow reference: a
     bound d + min(unused edges, unused vertices) tested at every node, and
-    each vertex's incident edges scanned in a list, skipping used ones."""
+    each vertex's incident edges scanned in a list, skipping used ones. It
+    also still takes a start vertex (``required_endpoint``) and a length to
+    beat (``floor``), which the production kernel dropped."""
     n, m = a.hg.n, a.hg.num_edges
     cap = min(m - excluded_edges.bit_count(), n - 1)
     if stop_at is not None:
@@ -171,10 +173,10 @@ def reference_walk(a, start, length):
 
 def test_search_core_matches_the_reference_kernels():
     """On every (4,3), (5,3), (5,4) and (6,5) instance the kernels give the
-    reference's (length, path mask) for k, for each anchored query of the
-    p-table and for each endpoint, and walk the same paths in the same
-    order at every length up to k + 1. The (6,5) edges are the widest,
-    where a step skips the most used vertices."""
+    reference's (length, path mask) for k and for each anchored query of
+    the p-table, and walk the same paths in the same order at every length
+    up to k + 1. The (6,5) edges are the widest, where a step skips the
+    most used vertices."""
     walked = 0
     cases = itertools.chain(
         every_instance(4, 3), every_instance(5, 3), every_instance(5, 4), every_instance(6, 5)
@@ -183,7 +185,6 @@ def test_search_core_matches_the_reference_kernels():
         a = analyze(hg)
         queries = [{}]
         queries += [{"required_edge": i, "stop_at": a.k} for i in range(hg.num_edges)]
-        queries += [{"required_endpoint": v} for v in range(hg.n)]
         for q in queries:
             assert _max_len(a, **q) == reference_max_len(a, **q), (hg, q)
         for s in range(hg.n):
@@ -203,7 +204,7 @@ TURAN_QUERY_CELLS = (
 
 
 def test_turan_existence_queries_match_the_reference_kernel(monkeypatch):
-    """Every existence query that turan_exact makes, with its floor and
+    """Every existence query that turan_exact makes, with its cap and
     excluded edges, gets the reference's answer."""
     calls = []
 
@@ -215,7 +216,8 @@ def test_turan_existence_queries_match_the_reference_kernel(monkeypatch):
     monkeypatch.setattr(weights, "_max_len", recording)
     for cell in TURAN_QUERY_CELLS:
         turan_exact(*cell)
-    assert len(calls) > 4000
+    # 3,738 searches: free answers the queries whose reach is below k itself
+    assert len(calls) > 3700
     for a, query, got in calls:
         assert got == reference_max_len(a, **query), (a.hg.n, a.hg.r, query)
 
@@ -229,35 +231,38 @@ def test_anchored_queries_match_oracle_exhaustively():
                 assert longest_path_length(hg, q) == oracle_longest_path(hg, q), (hg, q)
 
 
-def test_combined_queries_return_min_of_maximum_and_target():
-    """A required edge, a required endpoint and a target t together give
-    min(untargeted maximum, t), from the engine and from the oracle."""
-    for hg in every_instance(4, 3):
-        for i in range(hg.num_edges):
-            for v in range(hg.n):
-                untargeted = longest_path_length(
-                    hg, PathQuery(required_edge=i, required_endpoint=v)
-                )
-                for t in range(hg.n + 1):
-                    q = PathQuery(required_edge=i, required_endpoint=v, target_length=t)
-                    got = longest_path_length(hg, q)
-                    assert got == oracle_longest_path(hg, q) == min(untargeted, t), (hg, q)
-
-
 def test_fixed_endpoint_paths_match_brute_force():
-    """has_path_with_endpoints equals a search over edge permutations with
-    both terminals fixed in the oracle's vertex assignment."""
-    cases = itertools.chain(every_instance(4, 3), every_instance(5, 3), every_instance(5, 4))
-    for hg in cases:
-        if hg.num_edges > 4:
-            continue
-        edge_verts = [tuple(bits(e)) for e in hg.edges]
-        for length in range(1, hg.num_edges + 1):
-            seqs = list(itertools.permutations(range(hg.num_edges), length))
-            for u, w in itertools.permutations(range(hg.n), 2):
-                expected = any(_assignable(edge_verts, seq, u, w) for seq in seqs)
-                got = has_path_with_endpoints(hg, u, w, length)
-                assert got == expected, (hg, u, w, length)
+    """On every n = r+1 instance with 1 <= |E| < r, r = 3..6, the start
+    failures, uncovered single-edge starts and unjoined pairs of the
+    (r+1)-vertex path claim equal those read from the oracle's vertex
+    assignment over every order of the edges, with the terminals fixed."""
+    checked = 0
+    for r in range(3, 7):
+        for hg in every_instance(r + 1, r):
+            m = hg.num_edges
+            if not 1 <= m < r:
+                continue
+            edge_verts = [tuple(bits(e)) for e in hg.edges]
+            seqs = list(itertools.permutations(range(m)))
+
+            def joined(u, w):
+                return any(_assignable(edge_verts, seq, u, w) for seq in seqs)
+
+            starts, uncovered = [], []
+            for v in range(hg.n):
+                expected = m >= 2 or v in edge_verts[0]
+                got = joined(v, None)
+                if got != expected:
+                    detail = f"length-{m} path starting at v{v}: expected {expected}, got {got}"
+                    starts.append((v, detail))
+                elif not expected:
+                    uncovered.append(v)
+            pairs = []
+            if r >= 4 and m >= 2:
+                pairs = [p for p in itertools.combinations(range(hg.n), 2) if not joined(*p)]
+            assert verify._coro_path(analyze(hg)) == (starts, pairs, uncovered), hg
+            checked += 1
+    assert checked == 10 + 25 + 56 + 119
 
 
 def brute_force_turan_table(n, r):
@@ -304,7 +309,7 @@ def reference_turan_exact(n, r, k):
         if idx == m or count + (m - idx) <= best_count:
             return
         with_idx = chosen | (1 << idx)
-        if _max_len(pool, stop_at=k, floor=k - 1, excluded_edges=full & ~with_idx)[0] < k:
+        if _max_len(pool, stop_at=k, excluded_edges=full & ~with_idx)[0] < k:
             dfs(idx + 1, with_idx, count + 1)
         dfs(idx + 1, chosen, count)
 

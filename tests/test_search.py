@@ -24,7 +24,6 @@ from bergepaths.search import (
     _validate_seq,
     analyze,
     find_berge_cycle,
-    has_path_with_endpoints,
     iter_paths_of_length,
     longest_berge_path,
     longest_path_length,
@@ -224,19 +223,8 @@ class TestCycles:
 
 
 class TestQueries:
-    def test_required_endpoint(self):
-        # only vertices of the edge can start a length-1 path
-        assert longest_path_length(SINGLE, PathQuery(required_endpoint=0)) == 1
-        h = hg(4, 3, [0, 1, 2])
-        assert longest_path_length(h, PathQuery(required_endpoint=3)) == 0
-
     def test_target_length_early_exit(self):
         assert longest_path_length(K53, PathQuery(target_length=2)) == 2
-
-    def test_endpoint_pair_search(self):
-        assert has_path_with_endpoints(CHAIN2, 0, 4, 2)
-        assert not has_path_with_endpoints(CHAIN2, 0, 4, 1)
-        assert has_path_with_endpoints(CHAIN2, 0, 0, 0)
 
 
 class TestOracle:
@@ -303,7 +291,7 @@ def test_oracle_equivalence_combined_constraints(h, data):
         return
     q = PathQuery(
         required_edge=data.draw(st.integers(min_value=0, max_value=h.num_edges - 1)),
-        required_endpoint=data.draw(st.integers(min_value=0, max_value=h.n - 1)),
+        target_length=data.draw(st.integers(min_value=0, max_value=h.n)),
     )
     assert longest_path_length(h, q) == oracle_longest_path(h, q)
 

@@ -202,19 +202,27 @@ class TestCoroPath:
         assert not rep.pair_failures
         assert len(rep.e1_discrepancy) == 5
 
+    @pytest.mark.parametrize("r, count, uncovered", [(5, 56, 6), (6, 119, 7)])
+    def test_r5_and_r6(self, r, count, uncovered):
+        rep = coro_path_check(r)
+        # subsets of size 1..r-1 of the r+1 possible r-sets on r+1 vertices
+        assert rep.instances == count == sum(comb(r + 1, m) for m in range(1, r))
+        assert rep.passed
+        assert len(rep.e1_discrepancy) == uncovered
+
     def test_r_out_of_range(self):
         with pytest.raises(SweepConfigError):
             coro_path_check(7)
 
     def test_start_failure_reaches_both_callers(self, monkeypatch):
         text = "4 3\n0 1 2\n0 1 3\n"
-        real = verify.longest_path_length
+        real = verify._walk
 
-        def lie_at_v3(a, query):
-            lie = serialize_hypergraph(a.hg) == text and query.required_endpoint == 3
-            return 0 if lie else real(a, query)
+        def no_paths_from_v3(a, start, length):
+            lie = serialize_hypergraph(a.hg) == text and start == 3
+            return iter(()) if lie else real(a, start, length)
 
-        monkeypatch.setattr(verify, "longest_path_length", lie_at_v3)
+        monkeypatch.setattr(verify, "_walk", no_paths_from_v3)
         rep = run_sweep(SweepConfig(n=4, r=3, mode="exhaustive", checks=("coro_path",)))
         detail = "length-2 path starting at v3: expected True, got False"
         assert [(v.hg, v.check, v.detail) for v in rep.violations] == [(text, "coro_path", detail)]
@@ -222,12 +230,15 @@ class TestCoroPath:
 
     def test_pair_failure_reaches_both_callers(self, monkeypatch):
         text = "5 4\n0 1 2 3\n0 1 2 4\n"
-        real = verify.has_path_with_endpoints
+        real = verify._walk
 
-        def lie_at_v0_v4(a, u, w, length):
-            return (serialize_hypergraph(a.hg), u, w) != (text, 0, 4) and real(a, u, w, length)
+        def no_path_joins_v0_v4(a, start, length):
+            paths = real(a, start, length)
+            if serialize_hypergraph(a.hg) != text:
+                return paths
+            return ((vs, es) for vs, es in paths if {vs[0], vs[-1]} != {0, 4})
 
-        monkeypatch.setattr(verify, "has_path_with_endpoints", lie_at_v0_v4)
+        monkeypatch.setattr(verify, "_walk", no_path_joins_v0_v4)
         rep = run_sweep(SweepConfig(n=5, r=4, mode="exhaustive", checks=("coro_path",)))
         detail = "no length-2 path joins v0 and v4"
         assert [(v.hg, v.check, v.detail) for v in rep.violations] == [(text, "coro_path", detail)]
