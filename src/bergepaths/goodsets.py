@@ -21,10 +21,21 @@ edge sequences and bitmasks, with no object per path. Three callers read
 from it: ``rotation_closure`` wraps one given path into a
 ``RotationFamily`` with ``BergePath`` witnesses (``hg rotate``);
 ``find_good_set``'s rotation route takes only the terminal sets; and
-``check_rotation_bound`` closes every longest path straight from the
+``check_rotation_bound`` closes longest paths straight from the
 walker's reused lists, building a path tuple only for a violation.
 Every closed base path is validated; under ``__debug__`` so is every
 rotated witness.
+
+The closure never reads a path's last edge e_k. The terminal set starts
+as {v_k} and only grows, so the last segment always has a flank in it:
+it is never repaired, and e_k always counts once in |N_E(P)(tau)|. A
+repair at an earlier segment looks up that segment's own edge in a
+witness, and every rotation keeps the segment {v_(k-1), v_k} on e_k.
+So longest paths that differ only in e_k reach the same terminal set
+and count, with the same witnesses up to the label of e_k, and each
+such e_k holds v_(k-1) and v_k. ``_closures`` closes one path of each
+such group, its first in walk order; the first violating path in walk
+order is always such a representative.
 """
 
 from __future__ import annotations
@@ -220,12 +231,14 @@ def _close(hg: Hypergraph, vs, es) -> tuple[int, dict, int]:
 
 
 def _closures(a: Analysis) -> Iterator[tuple[list[int], list[int], int, int]]:
-    """(vertices, edges, terminals, lhs) of ``_close`` for every longest
-    path pinned at its first vertex. The two lists are the walk's own,
-    reused from one path to the next."""
+    """(vertices, edges, terminals, lhs) of ``_close`` for the first longest
+    path in walk order of each group that differs only in its last edge
+    (``_walk``'s ``one_per_end``), pinned at its first vertex; the rest of
+    a group close alike. The two lists are the walk's own, reused from one
+    path to the next."""
     hg = a.hg
     for s in range(hg.n):
-        for vs, es in _walk(a, s, a.k):
+        for vs, es in _walk(a, s, a.k, one_per_end=True):
             terminals, _, lhs = _close(hg, vs, es)
             yield vs, es, terminals, lhs
 
@@ -240,8 +253,12 @@ def rotation_closure(hg: Hypergraph, path: BergePath, fixed_end: int) -> Rotatio
     flanking vertex a new terminal. Violations are processed in
     increasing (segment index, terminal id) order for determinism;
     terminals grow strictly, so this stops after at most length(P) steps.
+    A path with no edges is refused: its fixed end would be its own far
+    terminal.
     """
     validate_path(hg, path)  # before the terminal test, which reads the path
+    if not path.edges:
+        raise SearchError("a path with no edges has nothing to rotate")
     if fixed_end == path.vertices[-1] and fixed_end != path.vertices[0]:
         path = BergePath(tuple(reversed(path.vertices)), tuple(reversed(path.edges)))
     if fixed_end != path.vertices[0]:
@@ -258,8 +275,10 @@ def rotation_closure(hg: Hypergraph, path: BergePath, fixed_end: int) -> Rotatio
 
 
 def check_rotation_bound(hg: Hypergraph | Analysis) -> str | None:
-    """Close every longest path at its first vertex; the detail of the first
-    path whose closure breaks |N_E(P)(tau)| <= 2|tau| - 1, or None."""
+    """Close the longest paths at their first vertex, by ``_closures``; the
+    detail of the first path in walk order whose closure breaks
+    |N_E(P)(tau)| <= 2|tau| - 1, or None. A group closes alike, so its
+    first path is the first of it to break the bound."""
     for vs, es, terminals, lhs in _closures(analyze(hg)):
         rhs = 2 * terminals.bit_count() - 1
         if lhs > rhs:

@@ -59,7 +59,7 @@ def oracle_longest_path(hg: Hypergraph, query: PathQuery | None = None) -> int:
         raise OracleError(f"{m} edges exceed the oracle cap of {ORACLE_MAX_EDGES}")
     edge_verts = [tuple(bits(e)) for e in hg.edges]
     hi = min(m, hg.n - 1) if hg.n else 0
-    cap = hi if query.target_length is None else max(query.target_length, 0)
+    cap = hi if query.target_length is None else query.target_length
     for length in range(hi, 0, -1):
         for seq in permutations(range(m), length):
             if query.required_edge is not None and query.required_edge not in seq:

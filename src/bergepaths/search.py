@@ -30,7 +30,10 @@ replace the path's edge on that segment.
 ``_walk`` lazily yields every path of an exact length from one start
 vertex, in the same order. It gives ``iter_paths_of_length``, so
 ``iter_longest_paths``, and the far ends that the (r+1)-vertex path
-claim of ``verify`` reads. Maximizing and enumerating stay two
+claim of ``verify`` reads. With ``one_per_end`` it yields only the first
+path of each group that differs in its last edge alone, for the
+rotation closure of ``goodsets``, which never reads that edge.
+Maximizing and enumerating stay two
 searches: a merged kernel would branch on its caller, and the walk must
 stay lazy, since a (6,3) instance can have tens of thousands of longest
 paths.
@@ -104,11 +107,15 @@ class PathQuery:
 
     ``target_length`` is an early-exit threshold: the search may stop once a
     qualifying path of that length is found, so the result is
-    min(true maximum, target_length).
+    min(true maximum, target_length). A negative one is refused.
     """
 
     required_edge: int | None = None
     target_length: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.target_length is not None and self.target_length < 0:
+            raise SearchError(f"target length {self.target_length} < 0")
 
 
 def validate_path(hg: Hypergraph, path: BergePath) -> None:
@@ -352,18 +359,26 @@ def p_edge(hg: Hypergraph | Analysis, edge: int) -> int:
     return _max_len(a, required_edge=edge, stop_at=a.k)[0]
 
 
-def _walk(a: Analysis, start: int, length: int) -> Iterator[tuple[list[int], list[int]]]:
+def _walk(
+    a: Analysis, start: int, length: int, one_per_end: bool = False
+) -> Iterator[tuple[list[int], list[int]]]:
     """Every path of exactly ``length`` edges from ``start``, in depth-first order.
 
     Yields (vertex list, edge list). The two lists are reused from one
     yield to the next, so copy them to keep them. No path is longer than
     min(m, n - 1), so a longer ``length`` yields nothing without a search.
+
+    With ``one_per_end`` only the first path of each group that shares
+    all but its last edge is yielded, the one whose last edge is the
+    lowest free edge holding its far end: the last step marks each edge's
+    new vertices used, so a later edge skips the far ends already reached.
     """
     if min(a.hg.num_edges, a.hg.n - 1) < length:
         return iter(())
     inc, edges = a.incidence, a.hg.edges
     path_v = [start] + [0] * length
     path_e = [0] * length
+    last = length - 1 if one_per_end else -1
 
     def extend(v: int, used_v: int, used_e: int, depth: int):
         if depth == length:
@@ -375,6 +390,8 @@ def _walk(a: Analysis, start: int, length: int) -> Iterator[tuple[list[int], lis
             free ^= low
             i = low.bit_length() - 1
             nxt_v = edges[i] & ~used_v
+            if depth == last:
+                used_v |= nxt_v
             while nxt_v:
                 b = nxt_v & -nxt_v
                 nxt_v ^= b

@@ -69,6 +69,13 @@ def test_rotate(chain_file, capsys):
     assert "terminals tau" in out and "ok" in out
 
 
+def test_rotate_refuses_a_path_with_no_edges(chain_file, capsys):
+    assert main(["rotate", chain_file, "--path", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "no edges" in captured.err
+    assert captured.out == ""
+
+
 def test_turan(capsys):
     assert main(["turan", "--n", "5", "--r", "3", "--k", "3"]) == 0
     out = capsys.readouterr().out

@@ -175,9 +175,11 @@ def test_search_core_matches_the_reference_kernels():
     """On every (4,3), (5,3), (5,4) and (6,5) instance the kernels give the
     reference's (length, path mask) for k and for each anchored query of
     the p-table, and walk the same paths in the same order at every length
-    up to k + 1. The (6,5) edges are the widest, where a step skips the
-    most used vertices."""
-    walked = 0
+    up to k + 1; with ``one_per_end`` the walk gives exactly the first path
+    of each group of the reference's that shares all but its last edge, in
+    the reference's order. The (6,5) edges are the widest, where a step
+    skips the most used vertices."""
+    walked = dropped = 0
     cases = itertools.chain(
         every_instance(4, 3), every_instance(5, 3), every_instance(5, 4), every_instance(6, 5)
     )
@@ -193,7 +195,14 @@ def test_search_core_matches_the_reference_kernels():
                 expected = [(tuple(vs), tuple(es)) for vs, es in reference_walk(a, s, length)]
                 assert got == expected, (hg, s, length)
                 walked += len(got)
+                firsts = {}
+                for vs, es in expected:
+                    firsts.setdefault((vs, es[:-1]), (vs, es))
+                one = [(tuple(vs), tuple(es)) for vs, es in _walk(a, s, length, one_per_end=True)]
+                assert one == list(firsts.values()), (hg, s, length)
+                dropped += len(got) - len(one)
     assert walked > 1_400_000
+    assert dropped > 400_000  # many groups hold more than one path
 
 
 # the cells of the turan benchmark workload, and (6,3,5)
@@ -509,10 +518,16 @@ def test_rotation_core_matches_the_reference():
     """For every longest path, the core reaches the reference's terminal
     set with the same witness for every terminal and the same count of
     base edges meeting it; check_rotation_bound passes exactly when the
-    reference finds no path over 2|tau| - 1."""
-    paths = 0
+    reference finds no path over 2|tau| - 1.
+
+    A path that differs from an earlier one only in its last edge (a
+    sibling of the group's first, its representative) reaches the
+    representative's terminal set and count, with the same witnesses once
+    the representative's last edge is relabelled as the sibling's."""
+    paths = siblings = 0
     for h in rotation_reference_instances():
         over = False
+        firsts = {}
         for path in iter_longest_paths(h):
             tau, witnesses, lhs = reference_rotation_closure(h, path)
             got_tau, got_witnesses, got_lhs = _close(h, path.vertices, path.edges)
@@ -520,16 +535,64 @@ def test_rotation_core_matches_the_reference():
             assert {t: BergePath(*q) for t, q in got_witnesses.items()} == witnesses, (h, path)
             over = over or lhs > 2 * tau.bit_count() - 1
             paths += 1
+            rep = firsts.setdefault((path.vertices, path.edges[:-1]), (path, tau, lhs, witnesses))
+            if rep[0] != path:
+                siblings += 1
+                rep_path, rep_tau, rep_lhs, rep_witnesses = rep
+                assert (tau, lhs) == (rep_tau, rep_lhs), (h, path)
+                relabel = {rep_path.edges[-1]: path.edges[-1]}
+                assert witnesses == {
+                    t: BergePath(q.vertices, tuple(relabel.get(e, e) for e in q.edges))
+                    for t, q in rep_witnesses.items()
+                }, (h, path)
         assert (check_rotation_bound(h) is None) == (not over), h
     assert paths > 80_000  # the comparison really ran over the dense instances
+    assert siblings > 30_000
+
+
+def reference_find_good_set(a, closures):
+    """``find_good_set`` with its rotation route read from ``closures``, a
+    list of (terminals, lhs) for every longest path."""
+    if a.k == 1 or find_berge_cycle(a, a.k + 1) is not None:
+        return goodsets.is_good_set(a, a.hg.vertex_mask)
+    certs = filter(None, (goodsets.is_good_set(a, tau) for tau, _ in closures))
+    best = min(certs, key=lambda c: (c.size, c.S), default=None)
+    return best or next(goodsets.enumerate_good_sets(a))
+
+
+def test_closing_one_path_per_last_edge_group_loses_nothing():
+    """On every (4,3), (5,3) and (5,4) instance, closing every longest path
+    gives check_rotation_bound's detail (the first path over the bound, or
+    None) and find_good_set's certificate, though the library closes only
+    the first path of each group that differs in its last edge alone."""
+    routed = 0
+    for hg in itertools.chain(every_instance(4, 3), every_instance(5, 3), every_instance(5, 4)):
+        a = analyze(hg)
+        closures, detail = [], None
+        for path in iter_longest_paths(a):
+            tau, _, lhs = _close(hg, path.vertices, path.edges)
+            closures.append((tau, lhs))
+            rhs = 2 * tau.bit_count() - 1
+            if detail is None and lhs > rhs:
+                detail = f"path {path.vertices}/{path.edges}: |N_E(P)(tau)|={lhs} > 2|tau|-1={rhs}"
+        assert check_rotation_bound(a) == detail, hg
+        if a.connected and hg.num_edges:
+            assert goodsets.find_good_set(a) == reference_find_good_set(a, closures), hg
+            routed += a.k > 1 and find_berge_cycle(a, a.k + 1) is None
+    assert routed > 300  # the rotation route really ran
 
 
 def test_rotation_bound_violation_is_reported(monkeypatch):
     """A closure over the bound on one path gives exactly one
-    rotation_bound failure, naming that path."""
+    rotation_bound failure, naming that path. K_4^3's longest path #4 is
+    the first of its group; #5 shares all but its last edge and is not
+    closed."""
     h = hypergraph_from_subset(4, 3, possible_edges(4, 3), 0b1111)  # K_4^3
     a = analyze(h)
-    target = list(iter_longest_paths(a))[5]
+    paths = list(iter_longest_paths(a))
+    target = paths[4]
+    assert (target.vertices, target.edges) == ((0, 2, 3, 1), (0, 2, 1))
+    assert paths[5].vertices == target.vertices and paths[5].edges[:-1] == target.edges[:-1]
     real_close = goodsets._close
 
     def close_over_bound(hg, vs, es):

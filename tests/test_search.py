@@ -226,6 +226,11 @@ class TestQueries:
     def test_target_length_early_exit(self):
         assert longest_path_length(K53, PathQuery(target_length=2)) == 2
 
+    def test_negative_target_length_refused(self):
+        assert longest_path_length(K53, PathQuery(target_length=0)) == 0
+        with pytest.raises(SearchError, match="target length -3 < 0"):
+            longest_path_length(K53, PathQuery(target_length=-3))
+
 
 class TestOracle:
     def test_single_edge(self):
