@@ -128,7 +128,10 @@ def cmd_turan(args) -> int:
     print("extremal witness:")
     for i in range(res.witness.num_edges):
         print(f"  {_vertex_list(res.witness.edges[i])}")
-    return 0
+    faults = res.faults()
+    for fault in faults:
+        print(f"FAIL: {fault}")
+    return 1 if faults else 0
 
 
 def cmd_verify(args) -> int:

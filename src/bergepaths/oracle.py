@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .hypergraph import Hypergraph, bits
-from .search import PathQuery
+from .search import PathQuery, SearchError
 
 ORACLE_MAX_EDGES = 8
 
@@ -55,6 +55,8 @@ def oracle_longest_path(hg: Hypergraph, query: PathQuery | None = None) -> int:
     if query is None:
         query = PathQuery()
     m = hg.num_edges
+    if query.required_edge is not None and not 0 <= query.required_edge < m:
+        raise SearchError(f"edge index {query.required_edge} out of range")
     if m > ORACLE_MAX_EDGES:
         raise OracleError(f"{m} edges exceed the oracle cap of {ORACLE_MAX_EDGES}")
     edge_verts = [tuple(bits(e)) for e in hg.edges]

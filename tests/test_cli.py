@@ -1,4 +1,8 @@
+import dataclasses
+import importlib.util
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -78,8 +82,23 @@ def test_rotate_refuses_a_path_with_no_edges(chain_file, capsys):
 
 def test_turan(capsys):
     assert main(["turan", "--n", "5", "--r", "3", "--k", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "ex_3(5, BP_3) = 2  bound n*f_r(k-1) = 5/2\n"
+        "extremal witness:\n"
+        "  {0,1,2}\n"
+        "  {0,1,3}\n"
+    )
+
+
+def test_turan_fails_a_result_over_its_bound(monkeypatch, capsys):
+    real = weights.turan_exact(5, 3, 3)
+    monkeypatch.setattr(
+        cli, "turan_exact", lambda n, r, k: dataclasses.replace(real, paper_bound=Fraction(0))
+    )
+    assert main(["turan", "--n", "5", "--r", "3", "--k", "3"]) == 1
     out = capsys.readouterr().out
-    assert "ex_3(5, BP_3) = 2" in out and "5/2" in out
+    assert out.splitlines()[-1] == "FAIL: exact 2 exceeds bound 0/1"
+    assert out.count("FAIL:") == 1
 
 
 def test_turan_refuses_too_many_slots_before_building_them(monkeypatch, capsys):
@@ -216,3 +235,21 @@ def test_missing_file_reports_error(capsys):
 def test_bad_path_literal(chain_file, capsys):
     assert main(["rotate", chain_file, "--path", "0,0"]) == 2
     assert "alternate" in capsys.readouterr().err
+
+
+def test_campaign_stages_are_hg_commands():
+    # builds the campaign's stage table without running a stage
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    spec = importlib.util.spec_from_file_location("run_verification", path)
+    campaign = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(campaign)
+    out = Path("campaign-out")
+    parsed = [cli.build_parser().parse_args(argv) for _, argv in campaign.stages(out, 3, 200)]
+    sweeps = [args for args in parsed if args.fn is cli.cmd_verify]
+    names = [f"sweep_{n}_{r}_exhaustive" for n, r in ((3, 3), (4, 3), (5, 3), (4, 4), (5, 4))]
+    assert [args.out for args in sweeps] == [str(out / f"{name}.json") for name in names] + [
+        str(out / "sweep_6_3_sample.json")
+    ]
+    assert all(args.workers == 3 for args in sweeps)
+    assert [args.sample for args in sweeps] == [None] * 5 + [200]
+    assert {args.command for args in parsed} == {"verify", "turan", "gapcheck"}

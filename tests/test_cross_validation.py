@@ -5,6 +5,7 @@ the sweep's verdicts, on exhaustively enumerated or sampled small instances."""
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergepaths import goodsets, verify, weights
@@ -12,6 +13,7 @@ from bergepaths.goodsets import _close, check_rotation_bound, rotation_closure
 from bergepaths.hypergraph import (
     Hypergraph,
     bits,
+    complete_hypergraph,
     hypergraph_from_subset,
     neighborhood,
     possible_edges,
@@ -25,6 +27,7 @@ from bergepaths.oracle import (
 from bergepaths.search import (
     BergePath,
     PathQuery,
+    SearchError,
     _max_len,
     _walk,
     analyze,
@@ -238,6 +241,14 @@ def test_anchored_queries_match_oracle_exhaustively():
             for t in range(hg.n + 1):
                 q = PathQuery(required_edge=i, target_length=t)
                 assert longest_path_length(hg, q) == oracle_longest_path(hg, q), (hg, q)
+
+
+def test_oracle_and_search_refuse_the_same_out_of_range_edge():
+    hg = complete_hypergraph(4, 3)
+    for edge in (-1, hg.num_edges):
+        for longest in (longest_path_length, oracle_longest_path):
+            with pytest.raises(SearchError, match=f"edge index {edge} out of range"):
+                longest(hg, PathQuery(required_edge=edge))
 
 
 def test_fixed_endpoint_paths_match_brute_force():
