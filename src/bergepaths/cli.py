@@ -14,10 +14,10 @@ import os
 import sys
 import time
 
-from .goodsets import GoodSetError, enumerate_good_sets, find_good_set, rotation_closure
-from .hypergraph import HypergraphError, bits, load_hypergraph
+from .goodsets import enumerate_good_sets, find_good_set, rotation_closure
+from .hypergraph import bits, load_hypergraph
 from .search import BergePath, SearchError, longest_berge_path, p_edge, render_path
-from .verify import CHECK_NAMES, SweepConfig, SweepConfigError, report_write, run_sweep
+from .verify import CHECK_NAMES, SweepConfig, report_write, run_sweep
 from .weights import format_fraction, gap_check, gap_domain, turan_exact, weight_report
 
 
@@ -105,10 +105,8 @@ def cmd_rotate(args) -> int:
     tokens = [int(t) for t in args.path.split(",")]
     if len(tokens) % 2 != 1:
         raise SearchError("path literal must alternate v0,e1,v1,...,ek,vk")
-    vertices = tuple(tokens[0::2])
-    edges = tuple(tokens[1::2])
-    family = rotation_closure(hg, BergePath(vertices, edges), vertices[0])
-    print(f"base path: {render_path(family.base)} (fixed end v{family.fixed_end})")
+    family = rotation_closure(hg, BergePath(tuple(tokens[0::2]), tuple(tokens[1::2])))
+    print(f"base path: {render_path(family.base)} (fixed end v{family.base.vertices[0]})")
     print(f"terminals tau = {_vertex_list(family.terminals)}")
     for t in bits(family.terminals):
         print(f"  terminal v{t}: {render_path(family.witnesses[t])}")
@@ -249,7 +247,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (HypergraphError, SearchError, GoodSetError, SweepConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

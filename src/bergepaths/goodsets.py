@@ -17,14 +17,15 @@ The sweeps certify three structural claims through ``check_*``
 functions, each returning the detail of a violation or None.
 
 One private core, ``_close``, computes that fixpoint on plain vertex and
-edge sequences and bitmasks, with no object per path. Three callers read
-from it: ``rotation_closure`` wraps one given path into a
-``RotationFamily`` with ``BergePath`` witnesses (``hg rotate``);
-``find_good_set``'s rotation route takes only the terminal sets; and
+edge sequences and bitmasks, with no object per path, always pinned at
+the path's first vertex. Three callers read from it:
+``rotation_closure`` wraps one given path into a ``RotationFamily``
+with ``BergePath`` witnesses (``hg rotate``); ``find_good_set``'s
+rotation route takes only the terminal sets; and
 ``check_rotation_bound`` closes longest paths straight from the
 walker's reused lists, building a path tuple only for a violation.
-Every closed base path is validated; under ``__debug__`` so is every
-rotated witness.
+Every closed base path is validated, once, by ``_close``; under
+``__debug__`` so is every rotated witness.
 
 The closure never reads a path's last edge e_k. The terminal set starts
 as {v_k} and only grows, so the last segment always has a flank in it:
@@ -33,9 +34,9 @@ repair at an earlier segment looks up that segment's own edge in a
 witness, and every rotation keeps the segment {v_(k-1), v_k} on e_k.
 So longest paths that differ only in e_k reach the same terminal set
 and count, with the same witnesses up to the label of e_k, and each
-such e_k holds v_(k-1) and v_k. ``_closures`` closes one path of each
-such group, its first in walk order; the first violating path in walk
-order is always such a representative.
+such e_k holds v_(k-1) and v_k. ``search._walk`` yields one path of
+each such group, its first in walk order, and ``_closures`` closes it;
+the first violating path in walk order is always such a representative.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .search import (
     _walk,
     analyze,
     find_berge_cycle,
-    validate_path,
 )
 from .weights import _f_parts
 
@@ -175,14 +175,13 @@ class RotationFamily:
     """Terminal set reached by rotations of one base path, with witnesses.
 
     Every witness uses exactly the defining vertices and edges of
-    ``base`` and keeps ``fixed_end`` as one terminal; ``witnesses`` maps
-    each reachable far terminal to one realizing path. ``bound_lhs`` is
-    the number of base-path edges meeting the terminal set and is at most
-    ``bound_rhs`` = 2 |terminals| - 1.
+    ``base`` and starts at its first vertex, the pinned end;
+    ``witnesses`` maps each reachable far terminal to one realizing
+    path. ``bound_lhs`` is the number of base-path edges meeting the
+    terminal set and is at most ``bound_rhs`` = 2 |terminals| - 1.
     """
 
     base: BergePath
-    fixed_end: int
     terminals: int
     witnesses: dict[int, BergePath]
     bound_lhs: int
@@ -231,20 +230,20 @@ def _close(hg: Hypergraph, vs, es) -> tuple[int, dict, int]:
 
 
 def _closures(a: Analysis) -> Iterator[tuple[list[int], list[int], int, int]]:
-    """(vertices, edges, terminals, lhs) of ``_close`` for the first longest
-    path in walk order of each group that differs only in its last edge
-    (``_walk``'s ``one_per_end``), pinned at its first vertex; the rest of
-    a group close alike. The two lists are the walk's own, reused from one
-    path to the next."""
+    """(vertices, edges, terminals, lhs) of ``_close`` for each longest
+    path that ``_walk`` yields, the first in walk order of each group that
+    differs only in its last edge; the rest of a group close alike. The
+    two lists are the walk's own, reused from one path to the next."""
     hg = a.hg
     for s in range(hg.n):
-        for vs, es in _walk(a, s, a.k, one_per_end=True):
+        for vs, es in _walk(a, s, a.k):
             terminals, _, lhs = _close(hg, vs, es)
             yield vs, es, terminals, lhs
 
 
-def rotation_closure(hg: Hypergraph, path: BergePath, fixed_end: int) -> RotationFamily:
-    """Grow the terminal set of ``path`` to its rotation fixpoint.
+def rotation_closure(hg: Hypergraph, path: BergePath) -> RotationFamily:
+    """Grow the terminal set of ``path``, pinned at its first vertex, to
+    its rotation fixpoint.
 
     Repair step: take the lowest segment index j whose flanking vertices
     v_{j-1}, v_j both lie outside the current terminal set but whose edge
@@ -253,20 +252,14 @@ def rotation_closure(hg: Hypergraph, path: BergePath, fixed_end: int) -> Rotatio
     flanking vertex a new terminal. Violations are processed in
     increasing (segment index, terminal id) order for determinism;
     terminals grow strictly, so this stops after at most length(P) steps.
-    A path with no edges is refused: its fixed end would be its own far
-    terminal.
+    The path is validated first; then a path with no edges is refused,
+    as its pinned end would be its own far terminal.
     """
-    validate_path(hg, path)  # before the terminal test, which reads the path
+    terminals, witnesses, lhs = _close(hg, path.vertices, path.edges)
     if not path.edges:
         raise SearchError("a path with no edges has nothing to rotate")
-    if fixed_end == path.vertices[-1] and fixed_end != path.vertices[0]:
-        path = BergePath(tuple(reversed(path.vertices)), tuple(reversed(path.edges)))
-    if fixed_end != path.vertices[0]:
-        raise SearchError(f"fixed_end {fixed_end} is not a terminal of the path")
-    terminals, witnesses, lhs = _close(hg, path.vertices, path.edges)
     return RotationFamily(
         base=path,
-        fixed_end=fixed_end,
         terminals=terminals,
         witnesses={t: BergePath(vs, es) for t, (vs, es) in witnesses.items()},
         bound_lhs=lhs,

@@ -27,16 +27,14 @@ k, get p = k with no search of their own. So does an edge holding both
 vertices of a segment that a search reaching its cap handed back: it can
 replace the path's edge on that segment.
 
-``_walk`` lazily yields every path of an exact length from one start
-vertex, in the same order. It gives ``iter_paths_of_length``, so
-``iter_longest_paths``, and the far ends that the (r+1)-vertex path
-claim of ``verify`` reads. With ``one_per_end`` it yields only the first
-path of each group that differs in its last edge alone, for the
-rotation closure of ``goodsets``, which never reads that edge.
-Maximizing and enumerating stay two
-searches: a merged kernel would branch on its caller, and the walk must
-stay lazy, since a (6,3) instance can have tens of thousands of longest
-paths.
+``_walk`` lazily yields the paths of an exact length from one start
+vertex, in the same order, but only the first path of each group that
+differs in its last edge alone. Its two callers never read that edge:
+the rotation closure of ``goodsets`` and the far ends that the
+(r+1)-vertex path claim of ``verify`` reads. Maximizing and walking stay
+two searches: a merged kernel would branch on its caller, and the walk
+must stay lazy, since a (6,3) instance can have tens of thousands of
+longest paths.
 
 ``_least_seq`` finds the lexicographically least witness without
 walking every path: it tries vertex sequences in order and keeps a
@@ -69,8 +67,6 @@ __all__ = [
     "longest_path_length",
     "p_edge",
     "find_berge_cycle",
-    "iter_paths_of_length",
-    "iter_longest_paths",
     "validate_path",
     "validate_cycle",
     "render_path",
@@ -359,26 +355,25 @@ def p_edge(hg: Hypergraph | Analysis, edge: int) -> int:
     return _max_len(a, required_edge=edge, stop_at=a.k)[0]
 
 
-def _walk(
-    a: Analysis, start: int, length: int, one_per_end: bool = False
-) -> Iterator[tuple[list[int], list[int]]]:
-    """Every path of exactly ``length`` edges from ``start``, in depth-first order.
+def _walk(a: Analysis, start: int, length: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The paths of exactly ``length`` edges from ``start``, in depth-first
+    order, one per group that shares all but its last edge.
 
     Yields (vertex list, edge list). The two lists are reused from one
     yield to the next, so copy them to keep them. No path is longer than
     min(m, n - 1), so a longer ``length`` yields nothing without a search.
 
-    With ``one_per_end`` only the first path of each group that shares
-    all but its last edge is yielded, the one whose last edge is the
-    lowest free edge holding its far end: the last step marks each edge's
-    new vertices used, so a later edge skips the far ends already reached.
+    The path yielded for a group is its first, the one whose last edge is
+    the lowest free edge holding its far end: the last step marks each
+    edge's new vertices used, so a later edge skips the far ends already
+    reached, and each far end of a shared prefix is reached once.
     """
     if min(a.hg.num_edges, a.hg.n - 1) < length:
         return iter(())
     inc, edges = a.incidence, a.hg.edges
     path_v = [start] + [0] * length
     path_e = [0] * length
-    last = length - 1 if one_per_end else -1
+    last = length - 1
 
     def extend(v: int, used_v: int, used_e: int, depth: int):
         if depth == length:
@@ -400,26 +395,6 @@ def _walk(
                 yield from extend(u, used_v | b, used_e | low, depth + 1)
 
     return extend(start, 1 << start, 0, 0)
-
-
-def iter_paths_of_length(hg: Hypergraph | Analysis, k: int) -> Iterator[BergePath]:
-    """Every Berge path of length exactly k, in depth-first order.
-
-    Both orientations of each path are produced (a reversed path is a
-    distinct alternating sequence).
-    """
-    if k < 0:
-        raise SearchError(f"path length {k} < 0")
-    a = analyze(hg)
-    for s in range(a.hg.n):
-        for vs, es in _walk(a, s, k):
-            yield BergePath(tuple(vs), tuple(es))
-
-
-def iter_longest_paths(hg: Hypergraph | Analysis) -> Iterator[BergePath]:
-    """Every maximum-length Berge path."""
-    a = analyze(hg)
-    return iter_paths_of_length(a, a.k)
 
 
 def _matchable(cands: list[int], taken: int) -> bool:

@@ -8,7 +8,11 @@ import pytest
 
 from bergepaths import cli, hypergraph, weights
 from bergepaths.cli import main
-from bergepaths.hypergraph import complete_hypergraph, serialize_hypergraph
+from bergepaths.goodsets import GoodSetError
+from bergepaths.hypergraph import HypergraphError, complete_hypergraph, serialize_hypergraph
+from bergepaths.oracle import OracleError
+from bergepaths.search import SearchError
+from bergepaths.verify import SweepConfigError
 
 
 @pytest.fixture
@@ -237,12 +241,35 @@ def test_bad_path_literal(chain_file, capsys):
     assert "alternate" in capsys.readouterr().err
 
 
+def test_every_package_error_is_caught_by_hg():
+    # main catches (ValueError, OSError); a new error class must stay inside it
+    for error in (HypergraphError, SearchError, GoodSetError, SweepConfigError, OracleError):
+        assert issubclass(error, ValueError), error
+
+
+def load_script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--r", "2"], "turan_exact requires r >= 3, got r=2"),
+        (["--r", "3", "--nmax", "7"], "C(7,3) = 35 edge slots exceed cap 30"),
+    ],
+)
+def test_turan_table_refuses_a_cell_with_exit_2(argv, message, capsys):
+    assert load_script("turan_table").main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_campaign_stages_are_hg_commands():
     # builds the campaign's stage table without running a stage
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
-    spec = importlib.util.spec_from_file_location("run_verification", path)
-    campaign = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(campaign)
+    campaign = load_script("run_verification")
     out = Path("campaign-out")
     parsed = [cli.build_parser().parse_args(argv) for _, argv in campaign.stages(out, 3, 200)]
     sweeps = [args for args in parsed if args.fn is cli.cmd_verify]

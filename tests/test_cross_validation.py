@@ -32,7 +32,6 @@ from bergepaths.search import (
     _walk,
     analyze,
     find_berge_cycle,
-    iter_longest_paths,
     longest_berge_path,
     longest_path_length,
     p_edge,
@@ -174,14 +173,22 @@ def reference_walk(a, start, length):
     return extend(start, 1 << start, 0, 0)
 
 
+def every_longest_path(hg):
+    """Every longest path of ``hg``, both orientations, from
+    ``reference_walk`` in walk order."""
+    a = analyze(hg)
+    for s in range(a.hg.n):
+        for vs, es in reference_walk(a, s, a.k):
+            yield BergePath(tuple(vs), tuple(es))
+
+
 def test_search_core_matches_the_reference_kernels():
     """On every (4,3), (5,3), (5,4) and (6,5) instance the kernels give the
     reference's (length, path mask) for k and for each anchored query of
-    the p-table, and walk the same paths in the same order at every length
-    up to k + 1; with ``one_per_end`` the walk gives exactly the first path
-    of each group of the reference's that shares all but its last edge, in
-    the reference's order. The (6,5) edges are the widest, where a step
-    skips the most used vertices."""
+    the p-table, and at every length up to k + 1 the walk gives exactly
+    the first path of each group of the reference's that shares all but
+    its last edge, in the reference's order. The (6,5) edges are the
+    widest, where a step skips the most used vertices."""
     walked = dropped = 0
     cases = itertools.chain(
         every_instance(4, 3), every_instance(5, 3), every_instance(5, 4), every_instance(6, 5)
@@ -194,16 +201,14 @@ def test_search_core_matches_the_reference_kernels():
             assert _max_len(a, **q) == reference_max_len(a, **q), (hg, q)
         for s in range(hg.n):
             for length in range(a.k + 2):
-                got = [(tuple(vs), tuple(es)) for vs, es in _walk(a, s, length)]
                 expected = [(tuple(vs), tuple(es)) for vs, es in reference_walk(a, s, length)]
-                assert got == expected, (hg, s, length)
-                walked += len(got)
                 firsts = {}
                 for vs, es in expected:
                     firsts.setdefault((vs, es[:-1]), (vs, es))
-                one = [(tuple(vs), tuple(es)) for vs, es in _walk(a, s, length, one_per_end=True)]
-                assert one == list(firsts.values()), (hg, s, length)
-                dropped += len(got) - len(one)
+                got = [(tuple(vs), tuple(es)) for vs, es in _walk(a, s, length)]
+                assert got == list(firsts.values()), (hg, s, length)
+                walked += len(expected)
+                dropped += len(expected) - len(got)
     assert walked > 1_400_000
     assert dropped > 400_000  # many groups hold more than one path
 
@@ -457,8 +462,8 @@ def small_instances():
 def test_rotation_closure_reaches_a_true_fixpoint(h):
     """At the fixpoint, no base segment with both flanks outside tau may
     have its edge meet tau, and the neighborhood bound follows."""
-    for path in iter_longest_paths(h):
-        fam = rotation_closure(h, path, path.vertices[0])
+    for path in every_longest_path(h):
+        fam = rotation_closure(h, path)
         vs, es = fam.base.vertices, fam.base.edges
         tau = fam.terminals
         for j, e in enumerate(es):
@@ -468,7 +473,7 @@ def test_rotation_closure_reaches_a_true_fixpoint(h):
         assert fam.bound_lhs <= fam.bound_rhs
         # every witness is a genuine rearrangement pinned at the fixed end
         for t, q in fam.witnesses.items():
-            assert q.vertices[0] == fam.fixed_end and q.vertices[-1] == t
+            assert q.vertices[0] == path.vertices[0] and q.vertices[-1] == t
             assert sorted(q.vertices) == sorted(vs)
             assert sorted(q.edges) == sorted(es)
 
@@ -539,7 +544,7 @@ def test_rotation_core_matches_the_reference():
     for h in rotation_reference_instances():
         over = False
         firsts = {}
-        for path in iter_longest_paths(h):
+        for path in every_longest_path(h):
             tau, witnesses, lhs = reference_rotation_closure(h, path)
             got_tau, got_witnesses, got_lhs = _close(h, path.vertices, path.edges)
             assert (got_tau, got_lhs) == (tau, lhs), (h, path)
@@ -580,7 +585,7 @@ def test_closing_one_path_per_last_edge_group_loses_nothing():
     for hg in itertools.chain(every_instance(4, 3), every_instance(5, 3), every_instance(5, 4)):
         a = analyze(hg)
         closures, detail = [], None
-        for path in iter_longest_paths(a):
+        for path in every_longest_path(a):
             tau, _, lhs = _close(hg, path.vertices, path.edges)
             closures.append((tau, lhs))
             rhs = 2 * tau.bit_count() - 1
@@ -600,7 +605,7 @@ def test_rotation_bound_violation_is_reported(monkeypatch):
     closed."""
     h = hypergraph_from_subset(4, 3, possible_edges(4, 3), 0b1111)  # K_4^3
     a = analyze(h)
-    paths = list(iter_longest_paths(a))
+    paths = list(every_longest_path(a))
     target = paths[4]
     assert (target.vertices, target.edges) == ((0, 2, 3, 1), (0, 2, 1))
     assert paths[5].vertices == target.vertices and paths[5].edges[:-1] == target.edges[:-1]
@@ -613,7 +618,7 @@ def test_rotation_bound_violation_is_reported(monkeypatch):
         return terminals, witnesses, lhs
 
     monkeypatch.setattr(goodsets, "_close", close_over_bound)
-    tau = rotation_closure(h, target, target.vertices[0]).terminals.bit_count()
+    tau = rotation_closure(h, target).terminals.bit_count()
     _, failures = _check_instance(a, frozenset({"rotation_bound", "spanning_cycle"}))
     assert failures == [
         (

@@ -15,9 +15,9 @@ from bergepaths.search import (
     BergeCycle,
     BergePath,
     SearchError,
+    _walk,
     analyze,
     find_berge_cycle,
-    iter_longest_paths,
     longest_path_length,
 )
 from bergepaths.verify import SweepConfig, _check_instance, instances
@@ -26,6 +26,14 @@ from bergepaths.weights import f_r
 
 def hg(n, r, *edges):
     return from_edge_lists(n, r, edges)
+
+
+def walked_longest_paths(h):
+    """The longest paths that ``_walk`` yields from every start vertex."""
+    a = analyze(h)
+    for s in range(h.n):
+        for vs, es in _walk(a, s, a.k):
+            yield BergePath(tuple(vs), tuple(es))
 
 
 SINGLE = hg(3, 3, [0, 1, 2])
@@ -88,37 +96,36 @@ class TestEnumerate:
 class TestRotationClosure:
     def test_loose_chain_no_rotation(self):
         h = hg(8, 3, [0, 1, 5], [1, 2, 6], [2, 3, 7])
-        fam = rotation_closure(h, BergePath((0, 1, 2, 3), (0, 1, 2)), 0)
+        fam = rotation_closure(h, BergePath((0, 1, 2, 3), (0, 1, 2)))
         assert fam.terminals == mask_of([3])
         assert fam.bound_lhs == 1 and fam.bound_rhs == 1
 
     def test_single_edge_path(self):
-        fam = rotation_closure(SINGLE, BergePath((0, 1), (0,)), 0)
+        fam = rotation_closure(SINGLE, BergePath((0, 1), (0,)))
         assert fam.bound_lhs == 1 and fam.bound_rhs == 1
 
     def test_k43_grows_terminals_and_respects_bound(self):
-        for path in iter_longest_paths(K43):
-            fam = rotation_closure(K43, path, path.vertices[0])
+        for path in walked_longest_paths(K43):
+            fam = rotation_closure(K43, path)
             assert fam.bound_lhs <= fam.bound_rhs
             assert fam.bound_lhs <= len(path.edges)
             assert path.vertices[-1] in fam.witnesses
 
     def test_witnesses_preserve_vertex_and_edge_sets(self):
-        for path in iter_longest_paths(K53):
-            fam = rotation_closure(K53, path, path.vertices[0])
+        for path in walked_longest_paths(K53):
+            fam = rotation_closure(K53, path)
             for t, q in fam.witnesses.items():
                 assert q.vertices[0] == path.vertices[0]
                 assert q.vertices[-1] == t
                 assert set(q.vertices) == set(path.vertices)
                 assert set(q.edges) == set(path.edges)
 
-    def test_fixed_end_may_be_either_terminal(self):
-        fam = rotation_closure(CHAIN2, BergePath((0, 2, 3), (0, 1)), 3)
-        assert fam.base.vertices[0] == 3
-
-    def test_non_terminal_fixed_end_rejected(self):
-        with pytest.raises(SearchError):
-            rotation_closure(CHAIN2, BergePath((0, 2, 3), (0, 1)), 2)
+    def test_path_is_validated_before_the_zero_edge_refusal(self):
+        with pytest.raises(SearchError) as err:
+            rotation_closure(K43, BergePath((9,), ()))
+        assert str(err.value) == "vertex 9 outside 0..3"
+        with pytest.raises(SearchError, match="no edges"):
+            rotation_closure(K43, BergePath((0,), ()))
 
 
 class TestFindGoodSet:
