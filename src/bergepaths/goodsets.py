@@ -150,12 +150,21 @@ def _good_masks(a: Analysis) -> Iterator[tuple[int, int]]:
 def check_good_set_existence(hg: Hypergraph | Analysis) -> str | None:
     """A connected hypergraph with an edge has a good set, and one other
     than V(H) when k > r, unless n = k + 1: the detail of a failure read
-    from the first set of the subset scan, or None."""
+    from the first set of the subset scan, or None.
+
+    Where only existence is asked (k <= r or n = k + 1), a good V(H)
+    settles it with no scan: every edge has p = k and m <= f_r(k) n, both
+    read from masks. The scan's refusals come first all the same."""
     a = analyze(hg)
-    first = next(_good_masks(a), None)
+    masks = _good_masks(a)
+    n, r, k, m = a.hg.n, a.hg.r, a.k, a.hg.num_edges
+    if k <= r or n == k + 1:
+        num, den = _f_parts(r, k)
+        if a.max_p_mask == (1 << m) - 1 and m * den <= num * n:
+            return None
+    first = next(masks, None)
     if first is None:
         return "no good set exists"
-    n, r, k = a.hg.n, a.hg.r, a.k
     if k > r and first[0] == a.hg.vertex_mask and n != k + 1:
         return f"k={k} > r but the only good set is V(H) and n != k+1"
     return None

@@ -23,9 +23,13 @@ queries of ``turan_exact`` (with excluded edges).
 The p-table is built over a longest-path cover. p(e) <= k always, and a
 length-k path is a witness that p(e) = k for each of its edges. So the
 edges of the path found for k, and of every anchored search that reaches
-k, get p = k with no search of their own. So does an edge holding both
-vertices of a segment that a search reaching its cap handed back: it can
-replace the path's edge on that segment.
+k, get p = k with no search of their own. When the search reached its cap
+and handed back its segments, so do two more kinds of edge: one holding
+both vertices of a segment, which can replace the path's edge on that
+segment, and one at either end of the path, which a rotation puts on a
+length-k path (the endpoint rule of ``Analysis.p_values``). On sampled
+(6,3) instances the search for k nearly always reaches n - 1, so these
+rules leave almost no edge to search.
 
 ``_walk`` lazily yields the paths of an exact length from one start
 vertex, in the same order, but only the first path of each group that
@@ -231,23 +235,29 @@ class Analysis:
     def p_values(self) -> tuple[int, ...]:
         """p(e) for every edge; p never exceeds k.
 
-        Edges are taken in index order over a cover, the length-k paths
-        found so far, seeded with the path found for k. An edge of the
-        cover has p = k with no search, and so has an edge holding both
-        vertices of a segment a search handed back. Any other edge runs
-        the anchored search with cap k, and when that reaches k, its path
-        and segments join the cover.
+        Edges are taken in index order over a cover, the edges that the
+        length-k paths found so far prove to have p = k, seeded with the
+        path found for k (``_at_k``). An edge of the cover has p = k with
+        no search. Any other edge runs the anchored search with cap k, and
+        when that reaches k, its path joins the cover.
+
+        Endpoint rule: an edge e at an end v0 of a length-k path
+        P = v0 e1 v1 ... ek vk has p(e) = k. If e is not on P, it holds no
+        vertex off P, or P would extend to length k + 1; so it holds some
+        v_j with j >= 1, and v_(j-1) ... v0 e v_j ... v_k has length k.
         """
-        k, cover, segments = self._k_path
-        segments = list(segments)
+        k, path, segments = self._k_path
+        inc = self.incidence
+        cover = _at_k(inc, path, segments)
         out = []
-        for i, e in enumerate(self.hg.edges):
-            if cover >> i & 1 or any(e & q == q for q in segments):
+        for i in range(self.hg.num_edges):
+            if cover >> i & 1:
                 out.append(k)
                 continue
+            segments = []
             p, path = _max_len(self, required_edge=i, stop_at=k, segments=segments)
             if p == k:
-                cover |= path
+                cover |= _at_k(inc, path, segments)
             out.append(p)
         return tuple(out)
 
@@ -255,6 +265,21 @@ class Analysis:
     def max_p_mask(self) -> int:
         """Bitmask over edge indices with p(e) = k."""
         return sum(1 << i for i, p in enumerate(self.p_values) if p == self.k)
+
+
+def _at_k(inc: tuple[int, ...], path: int, segments: list[int]) -> int:
+    """The edges a longest path proves to have p = k: its own (``path``)
+    and, from its handed-back ``segments``, each edge holding both
+    vertices of a segment and each edge at either end. Every other path
+    vertex lies in two segments, so the ends are their XOR."""
+    ends = 0
+    for q in segments:
+        ends ^= q
+        low = q & -q
+        path |= inc[low.bit_length() - 1] & inc[(q ^ low).bit_length() - 1]
+    for v in bits(ends):
+        path |= inc[v]
+    return path
 
 
 def analyze(hg: Hypergraph | Analysis) -> Analysis:

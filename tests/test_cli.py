@@ -179,6 +179,15 @@ def test_verify_refuses_1000_vertices_before_building_the_slots(monkeypatch, cap
     assert captured.err == "error: vertex count 1000 outside 0..64\n"
 
 
+def test_verify_refuses_a_good_set_scan_over_25_vertices(capsys):
+    # the scan's refusal comes before the good V(H) shortcut could answer
+    argv = ["verify", "--n", "25", "--r", "3", "--sample", "3", "--seed", "1"]
+    assert main(argv + ["--checks", "good_set_existence"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: subset scan over 2^25 sets refused (n > 20)\n"
+
+
 def test_verify_sample_requires_seed(capsys):
     code = main(["verify", "--n", "4", "--r", "3", "--sample", "10"])
     assert code == 2

@@ -40,6 +40,9 @@ SINGLE = hg(3, 3, [0, 1, 2])
 CHAIN2 = hg(5, 3, [0, 1, 2], [2, 3, 4])
 K43 = complete_hypergraph(4, 3)
 K53 = complete_hypergraph(5, 3)
+CHAIN5 = hg(11, 3, *([2 * i, 2 * i + 1, 2 * i + 2] for i in range(5)))  # k = 5 > r
+# k = 6 and n = k + 1, but p({0, 1, 4}) = 5, so V(H) is not good
+SHORT_EDGE = hg(7, 3, [0, 1, 2], [0, 1, 4], [1, 2, 4], [1, 3, 4], [0, 1, 5], [0, 1, 6], [0, 4, 6])
 
 
 class TestIsGoodSet:
@@ -219,7 +222,7 @@ def test_table_scan_matches_the_per_subset_reference():
     k43s = [a.hg.edges for a in instances(SweepConfig(n=4, r=3, mode="exhaustive"))]
     cases += [Hypergraph(8, 3, low + tuple(e << 4 for e in high)) for low in k43s for high in k43s]
     k43_and_chain = hg(9, 3, [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [4, 5, 6], [6, 7, 8])
-    cases += [k43_and_chain, hg(11, 3, *([2 * i, 2 * i + 1, 2 * i + 2] for i in range(5)))]
+    cases += [k43_and_chain, CHAIN5]
     short = 0
     for case in cases:
         a = analyze(case)
@@ -286,18 +289,50 @@ def test_scan_fallback_runs_only_when_k_is_at_most_r(monkeypatch):
     assert counts[:3] == [6, 15, 25]
 
 
+def old_good_set_existence(a):
+    """``check_good_set_existence`` as it read before its V(H) shortcut:
+    both conditions applied to the first set of the subset scan."""
+    first = next(goodsets._good_masks(a), None)
+    if first is None:
+        return "no good set exists"
+    n, r, k = a.hg.n, a.hg.r, a.k
+    if k > r and first[0] == a.hg.vertex_mask and n != k + 1:
+        return f"k={k} > r but the only good set is V(H) and n != k+1"
+    return None
+
+
+def test_good_vertex_set_shortcut_gives_the_scan_answer():
+    # every connected (4,3), (5,3), (5,4) and (6,4) instance with an edge,
+    # 300 sampled (6,3) ones, and instances where the shortcut cannot be
+    # taken: an edge of p < k with n = k + 1, and k > r with n != k + 1
+    configs = [
+        SweepConfig(n=n, r=r, mode="exhaustive", connected_only=True)
+        for n, r in ((4, 3), (5, 3), (5, 4), (6, 4))
+    ]
+    configs.append(
+        SweepConfig(n=6, r=3, mode="sample", connected_only=True, sample_count=300, seed=9)
+    )
+    cases = [a for cfg in configs for a in instances(cfg) if a.hg.num_edges]
+    cases += [analyze(SHORT_EDGE), analyze(CHAIN5)]
+    whole = 0
+    for a in cases:
+        assert check_good_set_existence(a) == old_good_set_existence(a), a.hg
+        whole += is_good_set(a, a.hg.vertex_mask) is not None
+    assert len(cases) > 20_000 and whole > 10_000
+
+
 def test_structural_failure_details_are_pinned(monkeypatch):
     """Each structural check's failure detail, faked into being, reads the
     same from the goodsets function and from the sweep's instance check;
     V(H) as the only good set fails only where k > r and n != k + 1."""
     chain3 = hg(7, 3, [0, 1, 2], [2, 3, 4], [4, 5, 6])  # k = 3 = r
-    chain5 = hg(11, 3, *([2 * i, 2 * i + 1, 2 * i + 2] for i in range(5)))  # k = 5 > r
     whole_first = lambda a: iter([(a.hg.vertex_mask, (1 << a.hg.num_edges) - 1)])
     broken_cycle = lambda a, length: BergeCycle((0, 1, 2), (0, 1, 2))
     only_whole = "k=5 > r but the only good set is V(H) and n != k+1"
+    assert analyze(SHORT_EDGE).max_p_mask != (1 << SHORT_EDGE.num_edges) - 1
     cases = (
-        ("good_set_existence", "_good_masks", lambda a: iter(()), K43, "no good set exists"),
-        ("good_set_existence", "_good_masks", whole_first, chain5, only_whole),
+        ("good_set_existence", "_good_masks", lambda a: iter(()), SHORT_EDGE, "no good set exists"),
+        ("good_set_existence", "_good_masks", whole_first, CHAIN5, only_whole),
         ("good_set_existence", "_good_masks", whole_first, chain3, None),
         ("good_set_existence", "_good_masks", whole_first, K53, None),  # k = 4, n = k + 1
         (

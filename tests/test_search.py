@@ -395,8 +395,78 @@ def test_p_table_on_k63_skips_the_edges_of_found_longest_paths(monkeypatch):
 
     monkeypatch.setattr(search_module, "_max_len", counting)
     assert a.p_values == (5,) * 20
-    # one search for k, then fewer than one anchored search per edge
-    assert len(calls) < 1 + 20
+    # the search for k reaches n - 1, and every edge of K_6^3 meets its ends
+    assert calls == [None]
+
+
+def path_of(h, path, segments):
+    """The (vertices, edges) sequence of the length-k path with edge mask
+    ``path`` whose consecutive vertex pairs are ``segments``: the vertices
+    chain from one end, and each pair takes its own edge of the mask."""
+    ends = 0
+    for q in segments:
+        ends ^= q
+    vs = [next(bits(ends))]
+    left = list(segments)
+    while left:
+        q = next(q for q in left if q >> vs[-1] & 1)
+        left.remove(q)
+        vs.append(next(bits(q & ~(1 << vs[-1]))))
+
+    def assign(j, free):
+        if j == len(segments):
+            return []
+        q = 1 << vs[j] | 1 << vs[j + 1]
+        for i in bits(free):
+            if h.edges[i] & q == q and (rest := assign(j + 1, free & ~(1 << i))) is not None:
+                return [i, *rest]
+        return None
+
+    return vs, assign(0, path)
+
+
+def test_endpoint_rule_edges_have_a_rotated_witness(monkeypatch):
+    # An edge e at an end v0 of a length-k path v0 e1 v1 ... ek vk holds some
+    # v_j, j >= 1, and v_(j-1) ... v0 e v_j ... vk is a length-k path through
+    # e. Each edge the p-table gives p = k this way and that lies on no cover
+    # path gets that path built and validated, for every such j.
+    covers = []
+    at_k = search_module._at_k
+
+    def recording(inc, path, segments):
+        covers.append((path, list(segments)))
+        return at_k(inc, path, segments)
+
+    monkeypatch.setattr(search_module, "_at_k", recording)
+    rotated = 0
+    cases = (*cover_instances(), *instances(SweepConfig(n=6, r=4, mode="exhaustive")))
+    for a in cases:
+        h = a.hg
+        covers.clear()
+        pvals, k = a.p_values, a.k
+        assert pvals == tuple(p_edge(a, i) for i in range(h.num_edges)), h
+        on_paths = 0
+        for path, _ in covers:
+            on_paths |= path
+        for path, segments in covers:
+            if not segments:
+                continue
+            vs, es = path_of(h, path, segments)
+            validate_path(h, BergePath(tuple(vs), tuple(es)))
+            for vs, es in ((vs, es), (vs[::-1], es[::-1])):
+                for e in bits(a.incidence[vs[0]] & ~on_paths):
+                    js = [j for j in range(1, k + 1) if h.edges[e] >> vs[j] & 1]
+                    assert js and h.edges[e] & ~mask_of(vs) == 0, (h, e)
+                    for j in js:
+                        witness = BergePath(
+                            tuple(vs[j - 1 :: -1] + vs[j:]),
+                            tuple(es[: j - 1][::-1] + [e] + es[j:]),
+                        )
+                        validate_path(h, witness)
+                        assert witness.length == k and e in witness.edges
+                        assert pvals[e] == k
+                        rotated += 1
+    assert rotated > 300_000
 
 
 def assert_segments_chain_the_path(h, segments, length, path):
