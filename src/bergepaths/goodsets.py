@@ -3,8 +3,12 @@
 A nonempty vertex set S is good when every edge meeting S lies on some
 maximum-length Berge path (p(e) = k for all e in N(S)) and
 |N(S)| <= f_r(k) |S|. Good sets are what make the weight-sum induction
-go through: deleting one costs at most |S| of the bound. The subset scan
-reads each N(S) from two incidence tables, one per half of the vertices.
+go through: deleting one costs at most |S| of the bound. The sweeps
+certify three structural claims through ``check_*`` functions, each
+returning the detail of a violation or None. They find a good set as
+the paper does, from a longest path: V(H), or a rotation terminal set.
+The 2^n subset scan serves only ``hg goodset --all`` and the last
+resort of ``find_good_set``.
 
 The rotation closure realizes the constructive core of the terminal-set
 argument: starting from a path P with a pinned terminal v0, repeatedly
@@ -13,17 +17,14 @@ terminals, until no segment of P both avoids the terminal set and meets
 it through its edge. At that fixpoint the edges of P meeting the
 terminal set tau number at most 2|tau| - 1.
 
-The sweeps certify three structural claims through ``check_*``
-functions, each returning the detail of a violation or None.
-
 One private core, ``_close``, computes that fixpoint on plain vertex and
 edge sequences and bitmasks, with no object per path, always pinned at
-the path's first vertex. Three callers read from it:
-``rotation_closure`` wraps one given path into a ``RotationFamily``
-with ``BergePath`` witnesses (``hg rotate``); ``find_good_set``'s
-rotation route takes only the terminal sets; and
+the path's first vertex. ``rotation_closure`` wraps one given path into
+a ``RotationFamily`` with ``BergePath`` witnesses (``hg rotate``);
 ``check_rotation_bound`` closes longest paths straight from the
-walker's reused lists, building a path tuple only for a violation.
+walker's reused lists, building a path tuple only for a violation; and
+``_good_terminal_sets`` takes only the terminal sets, for the rotation
+route that ``find_good_set`` and ``check_good_set_existence`` share.
 Every closed base path is validated, once, by ``_close``; under
 ``__debug__`` so is every rotated witness.
 
@@ -117,8 +118,8 @@ def _certificate(s: int, k: int, ns: int, num: int, den: int) -> GoodSetCertific
     return GoodSetCertificate(S=s, k=k, NS=tuple(bits(ns)), bound=bound)
 
 
-def _good_masks(a: Analysis) -> Iterator[tuple[int, int]]:
-    """(S, N(S)) of every good set in increasing bitmask order, as masks.
+def enumerate_good_sets(hg: Hypergraph | Analysis) -> Iterator[GoodSetCertificate]:
+    """All good sets in increasing bitmask order by full subset scan.
 
     Refuses n > MAX_SCAN_VERTICES, then r < 3, then no edges, at the call;
     the scan itself is lazy. It reads N(S) = hi[S >> h] | lo[S & low mask]
@@ -126,12 +127,13 @@ def _good_masks(a: Analysis) -> Iterator[tuple[int, int]]:
     vertices and of the high n - h, and keeps a set that passes both tests
     of ``is_good_set``: no edge of N(S) has p < k, and |N(S)| <= f_r(k) |S|.
     """
+    a = analyze(hg)
     hg = a.hg
     if hg.n > MAX_SCAN_VERTICES:
         raise GoodSetError(f"subset scan over 2^{hg.n} sets refused (n > {MAX_SCAN_VERTICES})")
     _check_domain(hg)
 
-    def scan() -> Iterator[tuple[int, int]]:
+    def scan() -> Iterator[GoodSetCertificate]:
         h, below_k = hg.n // 2, ~a.max_p_mask
         lo, hi = [0], [0]
         for v, inc in enumerate(a.incidence):
@@ -142,41 +144,9 @@ def _good_masks(a: Analysis) -> Iterator[tuple[int, int]]:
         for s in range(1, 1 << hg.n):
             ns = hi[s >> h] | lo[s & low]
             if not ns & below_k and ns.bit_count() * den <= num * s.bit_count():
-                yield s, ns
+                yield _certificate(s, a.k, ns, num, den)
 
     return scan()
-
-
-def check_good_set_existence(hg: Hypergraph | Analysis) -> str | None:
-    """A connected hypergraph with an edge has a good set, and one other
-    than V(H) when k > r, unless n = k + 1: the detail of a failure read
-    from the first set of the subset scan, or None.
-
-    Where only existence is asked (k <= r or n = k + 1), a good V(H)
-    settles it with no scan: every edge has p = k and m <= f_r(k) n, both
-    read from masks. The scan's refusals come first all the same."""
-    a = analyze(hg)
-    masks = _good_masks(a)
-    n, r, k, m = a.hg.n, a.hg.r, a.k, a.hg.num_edges
-    if k <= r or n == k + 1:
-        num, den = _f_parts(r, k)
-        if a.max_p_mask == (1 << m) - 1 and m * den <= num * n:
-            return None
-    first = next(masks, None)
-    if first is None:
-        return "no good set exists"
-    if k > r and first[0] == a.hg.vertex_mask and n != k + 1:
-        return f"k={k} > r but the only good set is V(H) and n != k+1"
-    return None
-
-
-def enumerate_good_sets(hg: Hypergraph | Analysis) -> Iterator[GoodSetCertificate]:
-    """All good sets in increasing bitmask order by full subset scan: a
-    certificate for each set ``_good_masks`` yields, refused at the call
-    as it refuses."""
-    a = analyze(hg)
-    masks = _good_masks(a)
-    return (_certificate(s, a.k, ns, *_f_parts(a.hg.r, a.k)) for s, ns in masks)
 
 
 @dataclass(frozen=True)
@@ -250,6 +220,17 @@ def _closures(a: Analysis) -> Iterator[tuple[list[int], list[int], int, int]]:
             yield vs, es, terminals, lhs
 
 
+def _good_terminal_sets(a: Analysis) -> Iterator[GoodSetCertificate]:
+    """Certificates of the distinct good terminal sets of ``_closures``, in walk order."""
+    seen = set()
+    for _, _, tau, _ in _closures(a):
+        if tau not in seen:
+            seen.add(tau)
+            cert = is_good_set(a, tau)
+            if cert is not None:
+                yield cert
+
+
 def rotation_closure(hg: Hypergraph, path: BergePath) -> RotationFamily:
     """Grow the terminal set of ``path``, pinned at its first vertex, to
     its rotation fixpoint.
@@ -292,10 +273,10 @@ def find_good_set(hg: Hypergraph | Analysis) -> GoodSetCertificate:
     """A good set of a connected hypergraph with r >= 3 and an edge.
 
     Attempts, in order: the whole vertex set when k = 1 (connected, that
-    is one edge on n = r vertices) or a (k+1)-cycle exists;
-    rotation-closure terminal sets over maximum-length paths, preferring
-    the smallest accepted set (ties by bitmask); an exhaustive subset
-    scan as a last resort.
+    is one edge on n = r vertices) or a (k+1)-cycle exists; the good
+    terminal sets of ``_good_terminal_sets``, the route
+    ``check_good_set_existence`` reads too, preferring the smallest
+    (ties by bitmask); an exhaustive subset scan as a last resort.
 
     In every sweep measured, the scan runs only where the longest path
     uses all m = k <= r edges, and there V(H) is good too: every
@@ -309,27 +290,41 @@ def find_good_set(hg: Hypergraph | Analysis) -> GoodSetCertificate:
     if not a.connected:
         raise GoodSetError("find_good_set expects a connected hypergraph; split into components first")
 
-    k = a.k
-    if k == 1 or find_berge_cycle(a, k + 1) is not None:
+    if a.k == 1 or find_berge_cycle(a, a.k + 1) is not None:
         cert = is_good_set(a, hg.vertex_mask)
         assert cert is not None, "a lone edge or a spanning (k+1)-cycle makes V(H) good"
         return cert
 
-    candidates = []
-    seen = set()
-    for _, _, tau, _ in _closures(a):
-        if tau in seen:
-            continue
-        seen.add(tau)
-        cert = is_good_set(a, tau)
-        if cert is not None:
-            candidates.append(cert)
-    if candidates:
-        return min(candidates, key=lambda c: (c.size, c.S))
-
+    cert = min(_good_terminal_sets(a), key=lambda c: (c.size, c.S), default=None)
+    if cert is not None:
+        return cert
     for cert in enumerate_good_sets(a):
         return cert
     raise AssertionError("no good set found; contradicts the existence theorems")
+
+
+def check_good_set_existence(hg: Hypergraph | Analysis) -> str | None:
+    """A connected hypergraph with an edge has a good set, and one other
+    than V(H) when k > r, unless n = k + 1: the detail of a failure, or
+    None; a disconnected one is refused. No subset scan runs. Where only
+    existence is asked (k <= r or n = k + 1), a good V(H), every edge at
+    p = k and m <= f_r(k) n read from masks, settles it. Otherwise the
+    first set of ``_good_terminal_sets`` does: a terminal set never holds
+    the path's first vertex, so it is a good set other than V(H)."""
+    a = analyze(hg)
+    _check_domain(a.hg)
+    if not a.connected:
+        raise GoodSetError("good-set existence applies to connected hypergraphs")
+    n, r, k, m = a.hg.n, a.hg.r, a.k, a.hg.num_edges
+    num, den = _f_parts(r, k)
+    exists_only = k <= r or n == k + 1
+    if exists_only and a.max_p_mask == (1 << m) - 1 and m * den <= num * n:
+        return None
+    if next(_good_terminal_sets(a), None) is not None:
+        return None
+    if exists_only:
+        return "no good set: V(H) is not good and no rotation terminal set is"
+    return f"k={k} > r, n != k+1, and no rotation terminal set is good"
 
 
 def check_spanning_cycle_property(hg: Hypergraph | Analysis) -> str | None:

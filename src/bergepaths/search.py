@@ -27,7 +27,7 @@ k, get p = k with no search of their own. When the search reached its cap
 and handed back its segments, so do two more kinds of edge: one holding
 both vertices of a segment, which can replace the path's edge on that
 segment, and one at either end of the path, which a rotation puts on a
-length-k path (the endpoint rule of ``Analysis.p_values``). On sampled
+length-k path (the endpoint rule of ``Analysis._p_table``). On sampled
 (6,3) instances the search for k nearly always reaches n - 1, so these
 rules leave almost no edge to search.
 
@@ -232,8 +232,8 @@ class Analysis:
         return self._k_path[0]
 
     @cached_property
-    def p_values(self) -> tuple[int, ...]:
-        """p(e) for every edge; p never exceeds k.
+    def _p_table(self) -> tuple[tuple[int, ...], int]:
+        """(p(e) for every edge, the final cover); p never exceeds k.
 
         Edges are taken in index order over a cover, the edges that the
         length-k paths found so far prove to have p = k, seeded with the
@@ -259,12 +259,17 @@ class Analysis:
             if p == k:
                 cover |= _at_k(inc, path, segments)
             out.append(p)
-        return tuple(out)
+        return tuple(out), cover
+
+    @cached_property
+    def p_values(self) -> tuple[int, ...]:
+        """p(e) for every edge, in edge index order."""
+        return self._p_table[0]
 
     @cached_property
     def max_p_mask(self) -> int:
-        """Bitmask over edge indices with p(e) = k."""
-        return sum(1 << i for i, p in enumerate(self.p_values) if p == self.k)
+        """Bitmask over edge indices with p(e) = k: the final cover."""
+        return self._p_table[1]
 
 
 def _at_k(inc: tuple[int, ...], path: int, segments: list[int]) -> int:

@@ -179,13 +179,14 @@ def test_verify_refuses_1000_vertices_before_building_the_slots(monkeypatch, cap
     assert captured.err == "error: vertex count 1000 outside 0..64\n"
 
 
-def test_verify_refuses_a_good_set_scan_over_25_vertices(capsys):
-    # the scan's refusal comes before the good V(H) shortcut could answer
+def test_verify_checks_good_sets_on_25_vertices_with_no_scan(capsys):
+    # the good-set check runs the rotation route, not the 2^n subset scan
     argv = ["verify", "--n", "25", "--r", "3", "--sample", "3", "--seed", "1"]
-    assert main(argv + ["--checks", "good_set_existence"]) == 2
+    assert main(argv + ["--checks", "good_set_existence"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: subset scan over 2^25 sets refused (n > 20)\n"
+    assert captured.out.startswith("checked 3 instances in ")
+    assert captured.out.splitlines()[0].endswith(": 0 violations")
+    assert captured.err == ""
 
 
 def test_verify_sample_requires_seed(capsys):
@@ -234,10 +235,13 @@ def test_gapcheck_below_the_domain_is_an_error(capsys):
 
 
 def test_goodset_all_refuses_a_21_vertex_scan(tmp_path, capsys):
+    # the scan's refusal, kept where the scan still runs
     path = tmp_path / "wide.hg"
     path.write_text("21 3\n0 1 2\n")
     assert main(["goodset", str(path), "--all"]) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: subset scan over 2^21 sets refused (n > 20)\n"
 
 
 def test_missing_file_reports_error(capsys):

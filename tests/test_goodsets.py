@@ -4,6 +4,7 @@ from bergepaths import goodsets
 from bergepaths.goodsets import (
     GoodSetError,
     check_good_set_existence,
+    check_rotation_bound,
     check_spanning_cycle_property,
     enumerate_good_sets,
     find_good_set,
@@ -243,16 +244,15 @@ def test_scan_preconditions_raise_at_the_call():
     for bad, message in cases:
         for call in (
             enumerate_good_sets,
-            lambda h: goodsets._good_masks(analyze(h)),
             find_good_set,
+            check_good_set_existence,
             lambda h: is_good_set(h, 1),
         ):
             with pytest.raises(GoodSetError) as err:
                 call(bad)
             assert str(err.value) == message
-    for call in (enumerate_good_sets, lambda h: goodsets._good_masks(analyze(h))):
-        with pytest.raises(GoodSetError, match=r"subset scan over 2\^21 sets refused"):
-            call(Hypergraph(21, 2, ()))
+    with pytest.raises(GoodSetError, match=r"subset scan over 2\^21 sets refused"):
+        enumerate_good_sets(Hypergraph(21, 2, ()))
 
 
 def test_scan_fallback_runs_only_when_k_is_at_most_r(monkeypatch):
@@ -290,13 +290,14 @@ def test_scan_fallback_runs_only_when_k_is_at_most_r(monkeypatch):
 
 
 def old_good_set_existence(a):
-    """``check_good_set_existence`` as it read before its V(H) shortcut:
-    both conditions applied to the first set of the subset scan."""
-    first = next(goodsets._good_masks(a), None)
+    """``check_good_set_existence`` as it read before its V(H) shortcut and
+    the rotation route: both conditions applied to the first set of the
+    subset scan."""
+    first = next(enumerate_good_sets(a), None)
     if first is None:
         return "no good set exists"
     n, r, k = a.hg.n, a.hg.r, a.k
-    if k > r and first[0] == a.hg.vertex_mask and n != k + 1:
+    if k > r and first.S == a.hg.vertex_mask and n != k + 1:
         return f"k={k} > r but the only good set is V(H) and n != k+1"
     return None
 
@@ -321,20 +322,84 @@ def test_good_vertex_set_shortcut_gives_the_scan_answer():
     assert len(cases) > 20_000 and whole > 10_000
 
 
+def test_good_set_existence_runs_the_route_and_never_scans(monkeypatch):
+    """With the subset scan patched to raise, the check still answers every
+    connected (5,3) instance with an edge, the 300 seed-9 (6,3) samples,
+    ``SHORT_EDGE`` and ``CHAIN5``. The route's sets are the distinct good
+    terminal sets of the closures in walk order, and no terminal set holds
+    its path's first vertex, so none is V(H): checked wherever V(H) does
+    not answer, and on every connected (4,3) and (5,4) instance."""
+
+    def no_scan(a):
+        raise AssertionError("the subset scan ran")
+
+    def connected(n, r, **sample):
+        mode = "sample" if sample else "exhaustive"
+        cfg = SweepConfig(n=n, r=r, mode=mode, connected_only=True, **sample)
+        return [a for a in instances(cfg) if a.hg.num_edges]
+
+    cases = connected(5, 3) + connected(6, 3, sample_count=300, seed=9)
+    cases += [analyze(SHORT_EDGE), analyze(CHAIN5)]
+    monkeypatch.setattr(goodsets, "enumerate_good_sets", no_scan)
+    routed = []
+    for a in cases:
+        assert check_good_set_existence(a) is None, a.hg
+        n, r, k = a.hg.n, a.hg.r, a.k
+        if not ((k <= r or n == k + 1) and is_good_set(a, a.hg.vertex_mask) is not None):
+            routed.append(a)
+    assert len(routed) == 3  # one (6,3) sample, SHORT_EDGE and CHAIN5
+    for a in routed + connected(4, 3) + connected(5, 4):
+        taus = {}
+        for vs, _, tau, _ in goodsets._closures(a):
+            assert not tau >> vs[0] & 1, (a.hg, vs)
+            taus[tau] = None
+        good = [tau for tau in taus if is_good_set(a, tau) is not None]
+        assert [c.S for c in goodsets._good_terminal_sets(a)] == good, a.hg
+        assert good or a not in routed, a.hg
+
+
+def test_good_set_existence_refuses_a_disconnected_hypergraph():
+    two = hg(6, 3, [0, 1, 2], [3, 4, 5])
+    with pytest.raises(GoodSetError) as err:
+        check_good_set_existence(two)
+    assert str(err.value) == "good-set existence applies to connected hypergraphs"
+
+
+def close_after_one_repair(h, vs, es):
+    """``_close`` cut after its first repair: the lowest segment whose edge
+    holds the far end v_k and whose flanks avoid it makes its inner flank
+    a terminal, as the first rotation does, and the loop stops there."""
+    edges, terminals = h.edges, 1 << vs[-1]
+    for j, e in enumerate(es):
+        if edges[e] & terminals and not (terminals >> vs[j] | terminals >> vs[j + 1]) & 1:
+            terminals |= 1 << vs[j + 1]
+            break
+    return terminals, None, sum(1 for e in es if edges[e] & terminals)
+
+
+def test_rotation_bound_flags_a_closure_that_stops_after_one_repair(monkeypatch):
+    # the count holds wherever the loop exits; cut short, it breaks
+    cases = list(instances(SweepConfig(n=5, r=3, mode="exhaustive")))
+    monkeypatch.setattr(goodsets, "_close", close_after_one_repair)
+    assert sum(check_rotation_bound(a) is not None for a in cases) == 843
+
+
 def test_structural_failure_details_are_pinned(monkeypatch):
     """Each structural check's failure detail, faked into being, reads the
-    same from the goodsets function and from the sweep's instance check;
-    V(H) as the only good set fails only where k > r and n != k + 1."""
+    same from the goodsets function and from the sweep's instance check.
+    With no good rotation terminal set, the existence check fails where
+    V(H) is not good, or where k > r and n != k + 1."""
     chain3 = hg(7, 3, [0, 1, 2], [2, 3, 4], [4, 5, 6])  # k = 3 = r
-    whole_first = lambda a: iter([(a.hg.vertex_mask, (1 << a.hg.num_edges) - 1)])
+    no_route = lambda a: iter(())
     broken_cycle = lambda a, length: BergeCycle((0, 1, 2), (0, 1, 2))
-    only_whole = "k=5 > r but the only good set is V(H) and n != k+1"
+    not_whole = "no good set: V(H) is not good and no rotation terminal set is"
+    past_r = "k=5 > r, n != k+1, and no rotation terminal set is good"
     assert analyze(SHORT_EDGE).max_p_mask != (1 << SHORT_EDGE.num_edges) - 1
     cases = (
-        ("good_set_existence", "_good_masks", lambda a: iter(()), SHORT_EDGE, "no good set exists"),
-        ("good_set_existence", "_good_masks", whole_first, CHAIN5, only_whole),
-        ("good_set_existence", "_good_masks", whole_first, chain3, None),
-        ("good_set_existence", "_good_masks", whole_first, K53, None),  # k = 4, n = k + 1
+        ("good_set_existence", "_good_terminal_sets", no_route, SHORT_EDGE, not_whole),
+        ("good_set_existence", "_good_terminal_sets", no_route, CHAIN5, past_r),
+        ("good_set_existence", "_good_terminal_sets", no_route, chain3, None),
+        ("good_set_existence", "_good_terminal_sets", no_route, K53, None),  # k = 4, n = k + 1
         (
             "spanning_cycle",
             "find_berge_cycle",
