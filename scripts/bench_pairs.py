@@ -13,7 +13,8 @@ Every result line is kept, and for each end-to-end metric of
 the change's ratio to the parent and the pairs the change won (ties
 count for neither). Running again with another workload and the same
 ``--out`` adds that workload to the file and replaces an earlier entry
-of the same name.
+of the same name. SIGTERM ends the script as an error does: the running
+benchmark is killed and the export removed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -112,6 +114,9 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
 
+    # SystemExit unwinds through subprocess.run, which kills its child, and
+    # through the TemporaryDirectory, which removes the export
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent_commit = git("rev-parse", f"{args.rev}^{{commit}}")
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:

@@ -17,16 +17,14 @@ terminals, until no segment of P both avoids the terminal set and meets
 it through its edge. At that fixpoint the edges of P meeting the
 terminal set tau number at most 2|tau| - 1.
 
-One private core, ``_close``, computes that fixpoint on plain vertex and
-edge sequences and bitmasks, with no object per path, always pinned at
-the path's first vertex. ``rotation_closure`` wraps one given path into
-a ``RotationFamily`` with ``BergePath`` witnesses (``hg rotate``);
-``check_rotation_bound`` closes longest paths straight from the
-walker's reused lists, building a path tuple only for a violation; and
-``_good_terminal_sets`` takes only the terminal sets, for the rotation
-route that ``find_good_set`` and ``check_good_set_existence`` share.
-Every closed base path is validated, once, by ``_close``; under
-``__debug__`` so is every rotated witness.
+One private core, ``_close``, computes that fixpoint on plain sequences
+of vertices and slot indices, with no object per path, always pinned at
+the path's first vertex; it validates the base path once, and every
+rotated witness under ``__debug__``. ``rotation_closure`` wraps one given
+path (``hg rotate``), ``check_rotation_bound`` closes the walker's reused
+lists, and ``_good_terminal_sets`` keeps the terminal sets for the route
+that ``find_good_set`` and ``check_good_set_existence`` share. A
+certificate's ``NS`` and a violation detail name edges in rank order.
 
 The closure never reads a path's last edge e_k. The terminal set starts
 as {v_k} and only grows, so the last segment always has a flank in it:
@@ -67,7 +65,7 @@ class GoodSetError(ValueError):
 
 @dataclass(frozen=True)
 class GoodSetCertificate:
-    """A verified good set: S, its edge neighborhood, and the exact bound."""
+    """A verified good set: S, its edge neighborhood in rank order, and the exact bound."""
 
     S: int
     k: int
@@ -79,11 +77,11 @@ class GoodSetCertificate:
         return self.S.bit_count()
 
 
-def _check_domain(hg: Hypergraph) -> None:
+def _check_domain(a: Analysis) -> None:
     """Reject what good sets are undefined on: r < 3, then no edges."""
-    if hg.r < 3:
-        raise GoodSetError(f"good sets need r >= 3, got r={hg.r}")
-    if hg.num_edges == 0:
+    if a.r < 3:
+        raise GoodSetError(f"good sets need r >= 3, got r={a.r}")
+    if a.m == 0:
         raise GoodSetError("good sets are undefined on edgeless hypergraphs")
 
 
@@ -94,11 +92,10 @@ def is_good_set(hg: Hypergraph | Analysis, vertex_set: int) -> GoodSetCertificat
     is at least 1). The empty set is rejected outright.
     """
     a = analyze(hg)
-    hg = a.hg
-    _check_domain(hg)
+    _check_domain(a)
     if vertex_set == 0:
         raise GoodSetError("the empty set is never good")
-    if vertex_set & ~hg.vertex_mask:
+    if vertex_set >> a.n:
         raise GoodSetError("vertex set contains ids >= n")
     k = a.k
     inc = a.incidence
@@ -107,15 +104,15 @@ def is_good_set(hg: Hypergraph | Analysis, vertex_set: int) -> GoodSetCertificat
         ns |= inc[v]
     if ns & ~a.max_p_mask:
         return None
-    num, den = _f_parts(hg.r, k)
+    num, den = _f_parts(a.r, k)
     if ns.bit_count() * den > num * vertex_set.bit_count():
         return None
-    return _certificate(vertex_set, k, ns, num, den)
+    return _certificate(a, vertex_set, ns, num, den)
 
 
-def _certificate(s: int, k: int, ns: int, num: int, den: int) -> GoodSetCertificate:
+def _certificate(a: Analysis, s: int, ns: int, num: int, den: int) -> GoodSetCertificate:
     bound = Fraction(num * s.bit_count(), den)
-    return GoodSetCertificate(S=s, k=k, NS=tuple(bits(ns)), bound=bound)
+    return GoodSetCertificate(S=s, k=a.k, NS=a.ranks(bits(ns)), bound=bound)
 
 
 def enumerate_good_sets(hg: Hypergraph | Analysis) -> Iterator[GoodSetCertificate]:
@@ -128,23 +125,22 @@ def enumerate_good_sets(hg: Hypergraph | Analysis) -> Iterator[GoodSetCertificat
     of ``is_good_set``: no edge of N(S) has p < k, and |N(S)| <= f_r(k) |S|.
     """
     a = analyze(hg)
-    hg = a.hg
-    if hg.n > MAX_SCAN_VERTICES:
-        raise GoodSetError(f"subset scan over 2^{hg.n} sets refused (n > {MAX_SCAN_VERTICES})")
-    _check_domain(hg)
+    if a.n > MAX_SCAN_VERTICES:
+        raise GoodSetError(f"subset scan over 2^{a.n} sets refused (n > {MAX_SCAN_VERTICES})")
+    _check_domain(a)
 
     def scan() -> Iterator[GoodSetCertificate]:
-        h, below_k = hg.n // 2, ~a.max_p_mask
+        h, below_k = a.n // 2, ~a.max_p_mask
         lo, hi = [0], [0]
         for v, inc in enumerate(a.incidence):
             table = lo if v < h else hi
             table += [t | inc for t in table]
         low = (1 << h) - 1
-        num, den = _f_parts(hg.r, a.k)
-        for s in range(1, 1 << hg.n):
+        num, den = _f_parts(a.r, a.k)
+        for s in range(1, 1 << a.n):
             ns = hi[s >> h] | lo[s & low]
             if not ns & below_k and ns.bit_count() * den <= num * s.bit_count():
-                yield _certificate(s, a.k, ns, num, den)
+                yield _certificate(a, s, ns, num, den)
 
     return scan()
 
@@ -167,9 +163,9 @@ class RotationFamily:
     bound_rhs: int
 
 
-def _close(hg: Hypergraph, vs, es) -> tuple[int, dict, int]:
+def _close(a: Analysis, vs, es) -> tuple[int, dict, int]:
     """The fixpoint of :func:`rotation_closure` for the path ``vs``/``es``
-    pinned at ``vs[0]``, on plain sequences.
+    of slot indices pinned at ``vs[0]``, on plain sequences.
 
     Returns (terminal mask, far terminal -> (vertices, edges) witness,
     number of the path's edges meeting the terminal set). ``vs`` and
@@ -177,27 +173,27 @@ def _close(hg: Hypergraph, vs, es) -> tuple[int, dict, int]:
     type, and the base path itself is the witness of ``vs[-1]``. The
     base path is validated first.
     """
-    masks = _validate_seq(hg, vs, es)
-    edges = hg.edges
+    masks = _validate_seq(a, vs, es)
+    edges = a.slots
     length = len(es)
     terminals = 1 << vs[-1]
     witnesses = {vs[-1]: (vs, es)}
     j = 0
     while j < length:
-        a, b = vs[j], vs[j + 1]
+        u, w = vs[j], vs[j + 1]
         hit = edges[es[j]] & terminals
-        if not hit or (terminals >> a | terminals >> b) & 1:
+        if not hit or (terminals >> u | terminals >> w) & 1:
             j += 1
             continue
         qv, qe = witnesses[(hit & -hit).bit_length() - 1]
         pos = qe.index(es[j])
         x, y = qv[pos], qv[pos + 1]
-        if (1 << x | 1 << y) != (1 << a | 1 << b):
+        if (1 << x | 1 << y) != (1 << u | 1 << w):
             raise AssertionError("rotation invariant broken: segment drifted off its edge")
         # qe[pos] is e_j: keep both prefixes through pos, reverse the tails
         nv = qv[: pos + 1] + qv[:pos:-1]
         ne = qe[: pos + 1] + qe[:pos:-1]
-        assert _validate_seq(hg, nv, ne) == masks and nv[0] == vs[0]
+        assert _validate_seq(a, nv, ne) == masks and nv[0] == vs[0]
         witnesses[y] = (nv, ne)
         terminals |= 1 << y
         j = 0
@@ -213,10 +209,9 @@ def _closures(a: Analysis) -> Iterator[tuple[list[int], list[int], int, int]]:
     path that ``_walk`` yields, the first in walk order of each group that
     differs only in its last edge; the rest of a group close alike. The
     two lists are the walk's own, reused from one path to the next."""
-    hg = a.hg
-    for s in range(hg.n):
+    for s in range(a.n):
         for vs, es in _walk(a, s, a.k):
-            terminals, _, lhs = _close(hg, vs, es)
+            terminals, _, lhs = _close(a, vs, es)
             yield vs, es, terminals, lhs
 
 
@@ -245,7 +240,7 @@ def rotation_closure(hg: Hypergraph, path: BergePath) -> RotationFamily:
     The path is validated first; then a path with no edges is refused,
     as its pinned end would be its own far terminal.
     """
-    terminals, witnesses, lhs = _close(hg, path.vertices, path.edges)
+    terminals, witnesses, lhs = _close(analyze(hg), path.vertices, path.edges)
     if not path.edges:
         raise SearchError("a path with no edges has nothing to rotate")
     return RotationFamily(
@@ -260,12 +255,14 @@ def rotation_closure(hg: Hypergraph, path: BergePath) -> RotationFamily:
 def check_rotation_bound(hg: Hypergraph | Analysis) -> str | None:
     """Close the longest paths at their first vertex, by ``_closures``; the
     detail of the first path in walk order whose closure breaks
-    |N_E(P)(tau)| <= 2|tau| - 1, or None. A group closes alike, so its
-    first path is the first of it to break the bound."""
-    for vs, es, terminals, lhs in _closures(analyze(hg)):
+    |N_E(P)(tau)| <= 2|tau| - 1, with its edges in rank order, or None. A
+    group closes alike, so its first path is the first of it to break the
+    bound."""
+    a = analyze(hg)
+    for vs, es, terminals, lhs in _closures(a):
         rhs = 2 * terminals.bit_count() - 1
         if lhs > rhs:
-            return f"path {tuple(vs)}/{tuple(es)}: |N_E(P)(tau)|={lhs} > 2|tau|-1={rhs}"
+            return f"path {tuple(vs)}/{a.ranks(es)}: |N_E(P)(tau)|={lhs} > 2|tau|-1={rhs}"
     return None
 
 
@@ -282,20 +279,21 @@ def find_good_set(hg: Hypergraph | Analysis) -> GoodSetCertificate:
     uses all m = k <= r edges, and there V(H) is good too: every
     p(e) = k, and m = k <= f_r(k) n, as f_r(k) = k/(r+1) and n >= r + 1
     for 2 <= k <= r - 1, and f_r(r) = 1 and n >= r. The scan still
-    returns its first good set, which need not be V(H).
+    returns its first good set, which need not be V(H). Past
+    MAX_SCAN_VERTICES, where the scan is refused, a good V(H) answers.
     """
     a = analyze(hg)
-    hg = a.hg
-    _check_domain(hg)
+    _check_domain(a)
     if not a.connected:
         raise GoodSetError("find_good_set expects a connected hypergraph; split into components first")
-
     if a.k == 1 or find_berge_cycle(a, a.k + 1) is not None:
-        cert = is_good_set(a, hg.vertex_mask)
+        cert = is_good_set(a, (1 << a.n) - 1)
         assert cert is not None, "a lone edge or a spanning (k+1)-cycle makes V(H) good"
         return cert
 
     cert = min(_good_terminal_sets(a), key=lambda c: (c.size, c.S), default=None)
+    if cert is None and a.n > MAX_SCAN_VERTICES:
+        cert = is_good_set(a, (1 << a.n) - 1)
     if cert is not None:
         return cert
     for cert in enumerate_good_sets(a):
@@ -312,13 +310,13 @@ def check_good_set_existence(hg: Hypergraph | Analysis) -> str | None:
     first set of ``_good_terminal_sets`` does: a terminal set never holds
     the path's first vertex, so it is a good set other than V(H)."""
     a = analyze(hg)
-    _check_domain(a.hg)
+    _check_domain(a)
     if not a.connected:
         raise GoodSetError("good-set existence applies to connected hypergraphs")
-    n, r, k, m = a.hg.n, a.hg.r, a.k, a.hg.num_edges
+    n, r, k, m = a.n, a.r, a.k, a.m
     num, den = _f_parts(r, k)
     exists_only = k <= r or n == k + 1
-    if exists_only and a.max_p_mask == (1 << m) - 1 and m * den <= num * n:
+    if exists_only and a.max_p_mask == a.present and m * den <= num * n:
         return None
     if next(_good_terminal_sets(a), None) is not None:
         return None
@@ -338,8 +336,8 @@ def check_spanning_cycle_property(hg: Hypergraph | Analysis) -> str | None:
     cycle = find_berge_cycle(a, a.k + 1) if a.k else None
     if cycle is None:
         return None
-    spans = mask_of(cycle.vertices) == a.hg.vertex_mask
-    all_max = a.max_p_mask == (1 << a.hg.num_edges) - 1
+    spans = mask_of(cycle.vertices) == (1 << a.n) - 1
+    all_max = a.max_p_mask == a.present
     if spans and all_max:
         return None
     return f"cycle {cycle.vertices} spans={spans} all_p_equal_k={all_max}"

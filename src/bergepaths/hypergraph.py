@@ -182,18 +182,34 @@ def delete_vertices(hg: Hypergraph, vertex_set: int) -> tuple[Hypergraph, dict[i
     return _induced(hg, hg.vertex_mask & ~vertex_set)
 
 
-def component_masks(hg: Hypergraph) -> tuple[int, ...]:
-    """The vertex mask of each connected component, ordered by least vertex.
-    A chain of pairwise-meeting edges, or a Berge path, joins any two
+def incidence_masks(hg: Hypergraph) -> list[int]:
+    """Bitmask over edge indices of the edges holding each vertex."""
+    return [sum(1 << i for i, e in enumerate(hg.edges) if e >> v & 1) for v in range(hg.n)]
+
+
+def component_masks(hg: Hypergraph, incidence=None) -> tuple[int, ...]:
+    """The vertex mask of each connected component, ordered by least vertex,
+    by a flood over ``incidence`` (default: every edge's) taking each edge
+    once. A chain of pairwise-meeting edges, or a Berge path, joins any two
     vertices of one component; an isolated vertex is a component of its own."""
-    groups = []
-    left, rest = hg.edges, hg.vertex_mask
+    inc, edges = incidence_masks(hg) if incidence is None else incidence, hg.edges
+    groups, rest, seen = [], hg.vertex_mask, 0
     while rest:
-        group = rest & -rest  # flood from the least vertex left
-        while meet := [e for e in left if e & group]:
-            left = [e for e in left if not e & group]
-            for e in meet:
-                group |= e
+        group = new = rest & -rest  # flood from the least vertex left
+        while new:
+            es = 0
+            while new:
+                low = new & -new
+                es |= inc[low.bit_length() - 1]
+                new ^= low
+            es &= ~seen
+            seen |= es
+            while es:
+                low = es & -es
+                new |= edges[low.bit_length() - 1]
+                es ^= low
+            new &= ~group
+            group |= new
         groups.append(group)
         rest &= ~group
     return tuple(groups)

@@ -1,35 +1,25 @@
-"""Exact longest Berge path and Berge cycle search.
+"""Exact longest Berge path and Berge cycle search over a pool of edge slots.
 
 A Berge path of length k alternates k+1 distinct vertices with k distinct
 edges, v0 e1 v1 ... ek vk, where each edge contains its two flanking
 vertices. Only the defining vertices belong to the path; an edge may also
 contain vertices outside it.
 
-Three depth-first searches do all the work.
+An instance is an :class:`Analysis`: a pool, a Hypergraph whose edges are
+the slots, and a present mask; its incidence masks are the pool's ANDed
+with the mask. Inside the package an edge index is a slot index, and the
+searches read n, r, the slots and the mask, never a Hypergraph of the
+instance, so a sweep instance is a mask over one pool of all C(n, r)
+slots. ``Analysis(hg)`` is the pool of ``hg``'s own edges, all present,
+where a slot index is the rank index, the edge index of ``hg``. Edge
+indices cross the boundary in rank order (``Analysis.ranks`` out,
+``_slot`` in); the validators read an Analysis's own indices.
 
-``_max_len`` is a maximizer over (endpoint, used-vertex mask, used-edge
-mask) states. It extends a path at its end v along the free edges at v,
-the set bits of ``incidence[v] & ~used_e``, and along edge i to its next
-vertices, the set bits of ``edges[i] & ~used_v``, each lowest first. It
-has no per-node bound: along a path of d edges, d + min(unused edges,
-unused vertices) is min(m - excluded, n - 1) at every node, so one root
-check does all the pruning such a bound could. A path that reaches the cap
-stops the search by return value, and each call hands back its segment
-(its two path vertices) as it returns. Besides the length it returns
-the edge mask of a path of that length. It gives k, p(e) (the p-table,
-``p_edge``), every ``longest_path_length`` query and the existence
-queries of ``turan_exact`` (with excluded edges).
-
-The p-table is built over a longest-path cover. p(e) <= k always, and a
-length-k path is a witness that p(e) = k for each of its edges. So the
-edges of the path found for k, and of every anchored search that reaches
-k, get p = k with no search of their own. When the search reached its cap
-and handed back its segments, so do two more kinds of edge: one holding
-both vertices of a segment, which can replace the path's edge on that
-segment, and one at either end of the path, which a rotation puts on a
-length-k path (the endpoint rule of ``Analysis._p_table``). On sampled
-(6,3) instances the search for k nearly always reaches n - 1, so these
-rules leave almost no edge to search.
+Three depth-first searches do all the work. ``_max_len`` maximizes over
+(endpoint, used-vertex mask, used-edge mask) states. It gives k, the
+p-table over a cover of longest paths (``Analysis._p_table``), every
+``longest_path_length`` and ``p_edge`` query and the existence queries
+of ``turan_exact``, which excludes edges of one pool in place.
 
 ``_walk`` lazily yields the paths of an exact length from one start
 vertex, in the same order, but only the first path of each group that
@@ -46,10 +36,6 @@ prefix only while its consecutive pairs can take distinct edges, a
 bipartite matching (``_matchable``). It gives ``longest_berge_path`` and
 the cycles of ``find_berge_cycle``, among them the (k+1)-cycles behind
 good sets.
-
-Per-instance values live on an :class:`Analysis`. Every function that
-reads them takes a Hypergraph or an Analysis, so a caller holding one
-passes it along and each value is computed once.
 """
 
 from __future__ import annotations
@@ -58,23 +44,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .hypergraph import Hypergraph, bits, component_masks
-
-__all__ = [
-    "Analysis",
-    "analyze",
-    "BergePath",
-    "BergeCycle",
-    "PathQuery",
-    "SearchError",
-    "longest_berge_path",
-    "longest_path_length",
-    "p_edge",
-    "find_berge_cycle",
-    "validate_path",
-    "validate_cycle",
-    "render_path",
-]
+from .hypergraph import Hypergraph, bits, component_masks, hypergraph_from_subset, incidence_masks
 
 
 class SearchError(ValueError):
@@ -118,19 +88,19 @@ class PathQuery:
             raise SearchError(f"target length {self.target_length} < 0")
 
 
-def validate_path(hg: Hypergraph, path: BergePath) -> None:
-    _validate_seq(hg, path.vertices, path.edges)
+def validate_path(hg: Hypergraph | Analysis, path: BergePath) -> None:
+    _validate_seq(analyze(hg), path.vertices, path.edges)
 
 
-def _validate_seq(hg: Hypergraph, vs, es) -> tuple[int, int]:
+def _validate_seq(a: Analysis, vs, es) -> tuple[int, int]:
     """``validate_path`` in one pass on vertex and edge sequences (tuples or
-    lists), returning their (vertex mask, edge mask). Of several defects it
-    reports the first of: counts, repeated vertex, repeated edge, vertex
-    range, then the first edge out of range or missing a flanking vertex."""
+    lists) of slot indices, returning their (vertex mask, edge mask). Of
+    several defects it reports the first of: counts, repeated vertex,
+    repeated edge, vertex range, the first edge out of range or missing a
+    flanking vertex, then an absent slot."""
     if len(vs) != len(es) + 1:
         raise SearchError(f"path has {len(vs)} vertices for {len(es)} edges")
-    n, edges = hg.n, hg.edges
-    m = len(edges)
+    n, edges, m = a.n, a.slots, len(a.slots)
     v = vs[0]
     prev = vmask = 1 << v if 0 <= v < n else 0
     emask = 0
@@ -155,18 +125,18 @@ def _validate_seq(hg: Hypergraph, vs, es) -> tuple[int, int]:
     if vmask.bit_count() != len(vs):
         v = next(v for v in vs if not 0 <= v < n)
         raise SearchError(f"vertex {v} outside 0..{n - 1}")
-    if fault is not None:
-        raise SearchError(fault)
+    if fault is not None or emask & ~a.present:
+        raise SearchError(fault or f"edge index {next(bits(emask & ~a.present))} out of range")
     return vmask, emask
 
 
-def validate_cycle(hg: Hypergraph, cycle: BergeCycle) -> None:
+def validate_cycle(hg: Hypergraph | Analysis, cycle: BergeCycle) -> None:
     """The open path v0 ... v(k-1), then its closing edge, by ``_validate_seq``."""
     vs, es = cycle.vertices, cycle.edges
     if len(vs) != len(es) or len(vs) < 2:
         raise SearchError(f"cycle needs k >= 2 vertices and k edges, got {len(vs)}/{len(es)}")
-    _validate_seq(hg, vs, es[:-1])
-    _validate_seq(hg, (vs[-1], vs[0]), es[-1:])
+    _validate_seq(analyze(hg), vs, es[:-1])
+    _validate_seq(analyze(hg), (vs[-1], vs[0]), es[-1:])
     if es[-1] in es[:-1]:
         raise SearchError(f"repeated edge in cycle {tuple(es)}")
 
@@ -194,27 +164,37 @@ class cached_property:
         return value
 
 
-@dataclass(frozen=True)
 class Analysis:
-    """Per-instance values of one hypergraph, each computed once, on first use."""
+    """One instance, the slots of ``pool`` that ``present`` sets (default: all),
+    and its values, each computed once, on first use; ``hg``, the instance
+    as a Hypergraph in rank order, is built only when read."""
 
-    hg: Hypergraph
+    def __init__(self, pool: Hypergraph, present: int | None = None, slot_incidence=None):
+        self._pool, self.n, self.r, self.slots = pool, pool.n, pool.r, pool.edges
+        present = (1 << len(pool.edges)) - 1 if present is None else present
+        self.present, self.m, self._slot_incidence = present, present.bit_count(), slot_incidence
+
+    @cached_property
+    def hg(self) -> Hypergraph:
+        return hypergraph_from_subset(self.n, self.r, self.slots, self.present)
+
+    def ranks(self, indices) -> tuple[int, ...]:
+        """The rank index of each slot index: its place among the present slots."""
+        present = self.present
+        if not present & (present + 1):  # slots 0..m-1: a slot is its rank
+            return tuple(indices)
+        return tuple((present & ((1 << i) - 1)).bit_count() for i in indices)
 
     @cached_property
     def incidence(self) -> tuple[int, ...]:
-        """Bitmask over edge indices of the edges holding each vertex."""
-        inc = [0] * self.hg.n
-        for i, e in enumerate(self.hg.edges):
-            while e:
-                low = e & -e
-                inc[low.bit_length() - 1] |= 1 << i
-                e ^= low
-        return tuple(inc)
+        """Bitmask over slot indices of the present edges holding each vertex."""
+        inc = self._slot_incidence or incidence_masks(self._pool)
+        return tuple(map(self.present.__and__, inc))
 
     @cached_property
     def components(self) -> tuple[int, ...]:
         """The vertex mask of each connected component, by least vertex."""
-        return component_masks(self.hg)
+        return component_masks(self._pool, self.incidence)
 
     @cached_property
     def connected(self) -> bool:
@@ -250,7 +230,7 @@ class Analysis:
         inc = self.incidence
         cover = _at_k(inc, path, segments)
         out = []
-        for i in range(self.hg.num_edges):
+        for i in bits(self.present):
             if cover >> i & 1:
                 out.append(k)
                 continue
@@ -263,12 +243,12 @@ class Analysis:
 
     @cached_property
     def p_values(self) -> tuple[int, ...]:
-        """p(e) for every edge, in edge index order."""
+        """p(e) for every edge, in rank order."""
         return self._p_table[0]
 
     @cached_property
     def max_p_mask(self) -> int:
-        """Bitmask over edge indices with p(e) = k: the final cover."""
+        """Bitmask over slot indices with p(e) = k: the final cover."""
         return self._p_table[1]
 
 
@@ -312,17 +292,19 @@ def _max_len(
     the way back each call appends its segment (the 2-bit mask of its two
     path vertices) to ``segments``; a search that stops short adds none.
 
-    No path is longer than min(m - excluded, n - 1). ``excluded_edges``
-    masks out edge indices entirely, letting callers search
-    sub-hypergraphs in place.
+    No path is longer than min(m - excluded, n - 1). Along a path of d
+    edges, d + min(unused edges, unused vertices) is that cap at every
+    node, so one root check does all the pruning a per-node bound could.
+    ``excluded_edges`` masks out slot indices entirely, letting callers
+    search sub-hypergraphs in place.
     """
-    n = a.hg.n
-    cap = min(a.hg.num_edges - excluded_edges.bit_count(), n - 1)
+    n = a.n
+    cap = min(a.m - excluded_edges.bit_count(), n - 1)
     if stop_at is not None:
         cap = min(cap, stop_at)
     if cap <= 0:
         return 0, 0
-    inc, edges = a.incidence, a.hg.edges
+    inc, edges = a.incidence, a.slots
     best = 0
     best_e = excluded_edges
     if segments is None:
@@ -372,17 +354,21 @@ def longest_path_length(hg: Hypergraph | Analysis, query: PathQuery | None = Non
     a = analyze(hg)
     if query is None:
         return a.k
-    if query.required_edge is not None and not 0 <= query.required_edge < a.hg.num_edges:
-        raise SearchError(f"edge index {query.required_edge} out of range")
-    return _max_len(a, required_edge=query.required_edge, stop_at=query.target_length)[0]
+    edge = None if query.required_edge is None else _slot(a, query.required_edge)
+    return _max_len(a, required_edge=edge, stop_at=query.target_length)[0]
 
 
 def p_edge(hg: Hypergraph | Analysis, edge: int) -> int:
     """Maximum length of a Berge path whose defining edges include ``edge``."""
     a = analyze(hg)
-    if not 0 <= edge < a.hg.num_edges:
+    return _max_len(a, required_edge=_slot(a, edge), stop_at=a.k)[0]
+
+
+def _slot(a: Analysis, edge: int) -> int:
+    """The slot index of the edge of rank ``edge``, refused when out of range."""
+    if not 0 <= edge < a.m:
         raise SearchError(f"edge index {edge} out of range")
-    return _max_len(a, required_edge=edge, stop_at=a.k)[0]
+    return [*bits(a.present)][edge]
 
 
 def _walk(a: Analysis, start: int, length: int) -> Iterator[tuple[list[int], list[int]]]:
@@ -398,9 +384,9 @@ def _walk(a: Analysis, start: int, length: int) -> Iterator[tuple[list[int], lis
     edge's new vertices used, so a later edge skips the far ends already
     reached, and each far end of a shared prefix is reached once.
     """
-    if min(a.hg.num_edges, a.hg.n - 1) < length:
+    if min(a.m, a.n - 1) < length:
         return iter(())
-    inc, edges = a.incidence, a.hg.edges
+    inc, edges = a.incidence, a.slots
     path_v = [start] + [0] * length
     path_e = [0] * length
     last = length - 1
@@ -465,7 +451,7 @@ def _least_seq(
     leaves the later pairs matchable. A least cycle starts at its minimum
     vertex, so the other vertices of a cycle exceed the first.
     """
-    n = a.hg.n
+    n = a.n
     inc = a.incidence
     seq: list[int] = []
     cands: list[int] = []  # cands[j]: the edges holding seq[j] and seq[j + 1]
@@ -512,12 +498,12 @@ def longest_berge_path(hg: Hypergraph | Analysis) -> tuple[int, BergePath]:
     Raises for a hypergraph with no vertices, which has no paths at all.
     """
     a = analyze(hg)
-    if a.hg.n == 0:
+    if a.n == 0:
         raise SearchError("hypergraph has no vertices, hence no paths")
-    witness = BergePath(*_least_seq(a, a.k, cycle=False))
+    vs, es = _least_seq(a, a.k, cycle=False)
     if __debug__:
-        validate_path(a.hg, witness)
-    return a.k, witness
+        _validate_seq(a, vs, es)
+    return a.k, BergePath(vs, a.ranks(es))
 
 
 def find_berge_cycle(hg: Hypergraph | Analysis, length: int) -> BergeCycle | None:
@@ -529,13 +515,12 @@ def find_berge_cycle(hg: Hypergraph | Analysis, length: int) -> BergeCycle | Non
     if length < 2:
         raise SearchError(f"cycle length {length} < 2")
     a = analyze(hg)
-    if length > a.hg.num_edges or length > a.hg.n:
+    if length > a.m or length > a.n:
         return None
     best = _least_seq(a, length, cycle=True)
     if best is None:
         return None
-    cycle = BergeCycle(*best)
     if __debug__:
-        validate_cycle(a.hg, cycle)
-    return cycle
+        validate_cycle(a, BergeCycle(*best))
+    return BergeCycle(best[0], a.ranks(best[1]))
 

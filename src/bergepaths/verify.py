@@ -8,9 +8,12 @@ how the index range is partitioned across workers.
 Instances come from one source, ``instances``: index i is edge subset i,
 or under sampling the "sha256-ctr" draw, the edge-subset bitmask from the
 leading bits of SHA-256("{seed}:{i}:{block}") blocks, uniform over all
-subsets and reproducible without any sampler state. The (r+1)-vertex
-path claim has one body, ``_coro_path``, read by the ``coro_path`` sweep
-check and by ``coro_path_check``.
+subsets and reproducible without any sampler state. Each call builds and
+validates one pool of the C(n, r) slots, so each worker block has its own,
+and yields an ``Analysis`` of the pool and the subset mask: the checks
+build no Hypergraph but a violation's, and a detail names edges in rank
+order. The (r+1)-vertex path claim has one body, ``_coro_path``, read by
+the ``coro_path`` sweep check and by ``coro_path_check``.
 """
 
 from __future__ import annotations
@@ -27,12 +30,12 @@ from .goodsets import check_good_set_existence, check_rotation_bound, check_span
 from .hypergraph import (
     MAX_EDGE_SLOTS,
     MAX_SEARCH_EDGE_SLOTS,
+    Hypergraph,
     bits,
-    hypergraph_from_subset,
     possible_edges,
     serialize_hypergraph,
 )
-from .search import Analysis, _walk, analyze
+from .search import Analysis, _walk
 from .weights import NOT_EXTREMAL, classify_structure, format_fraction, weight_sum
 
 CHECK_NAMES = (
@@ -125,24 +128,20 @@ def sample_mask(seed: int, index: int, bits: int) -> int:
 
 def _check_instance(a: Analysis, checks: frozenset[str]) -> tuple[str, list[tuple[str, str]]]:
     """Classification label plus (check, detail) pairs for failed checks."""
-    hg = a.hg
+    n, m = a.n, a.m
     failures: list[tuple[str, str]] = []
-    whole = a.connected and hg.num_edges > 0
+    whole = a.connected and m > 0
 
     cls = classify_structure(a)
     if "inequality" in checks or "equality_classifier" in checks:
         num, den = weight_sum(a)  # compared over integers; a message shows it reduced
-        if "inequality" in checks and num > hg.n * den:
+        if "inequality" in checks and num > n * den:
             total = format_fraction(Fraction(num, den))
-            failures.append(("inequality", f"weight sum {total} exceeds n={hg.n}"))
-        if "equality_classifier" in checks and (num == hg.n * den) != (cls != NOT_EXTREMAL):
+            failures.append(("inequality", f"weight sum {total} exceeds n={n}"))
+        if "equality_classifier" in checks and (num == n * den) != (cls != NOT_EXTREMAL):
             total = format_fraction(Fraction(num, den))
-            failures.append(
-                (
-                    "equality_classifier",
-                    f"exact sum {total} vs n={hg.n} disagrees with structural class {cls}",
-                )
-            )
+            detail = f"exact sum {total} vs n={n} disagrees with structural class {cls}"
+            failures.append(("equality_classifier", detail))
 
     for name, check, gated in STRUCTURAL_CHECKS:
         if name in checks and (whole or not gated):
@@ -153,7 +152,6 @@ def _check_instance(a: Analysis, checks: frozenset[str]) -> tuple[str, list[tupl
     if "coro_path" in checks:
         starts, pairs, _ = _coro_path(a)
         failures.extend(("coro_path", detail) for _, detail in starts)
-        m = hg.num_edges
         failures.extend(("coro_path", f"no length-{m} path joins v{u} and v{w}") for u, w in pairs)
 
     return cls, failures
@@ -168,12 +166,11 @@ def _coro_path(a: Analysis) -> tuple[list[tuple[int, str]], list[tuple[int, int]
     is a far end of u, and the walk from v stops once its far ends hold
     every vertex above v, or after its first path when no pair is checked.
     """
-    hg = a.hg
-    n, m = hg.n, hg.num_edges
+    n, r, m = a.n, a.r, a.m
     starts, pairs, uncovered = [], [], []
-    if n != hg.r + 1 or not 1 <= m < hg.r:
+    if n != r + 1 or not 1 <= m < r:
         return starts, pairs, uncovered
-    check_pairs = hg.r >= 4 and m >= 2
+    check_pairs = r >= 4 and m >= 2
     for v in range(n):
         above = (1 << n) - (2 << v) if check_pairs else 0
         ends = 0
@@ -181,7 +178,7 @@ def _coro_path(a: Analysis) -> tuple[list[tuple[int, str]], list[tuple[int, int]
             ends |= 1 << vs[-1]
             if ends & above == above:
                 break
-        expected = m >= 2 or bool(hg.edges[0] >> v & 1)
+        expected = m >= 2 or a.incidence[v] != 0
         got = ends != 0
         if got != expected:
             starts.append((v, f"length-{m} path starting at v{v}: expected {expected}, got {got}"))
@@ -198,12 +195,13 @@ def index_count(cfg: SweepConfig) -> int:
 def instances(cfg: SweepConfig, start: int = 0, end: int | None = None) -> Iterator[Analysis]:
     """The analysed instances of indices ``start..end-1`` (default: all) in
     index order, leaving out disconnected ones under ``connected_only``."""
-    slots = possible_edges(cfg.n, cfg.r)
+    pool = Hypergraph(cfg.n, cfg.r, possible_edges(cfg.n, cfg.r))
+    slot_incidence = Analysis(pool).incidence
     for index in range(start, index_count(cfg) if end is None else end):
         subset = index
         if cfg.mode == "sample":
-            subset = sample_mask(cfg.seed, index, len(slots))
-        a = analyze(hypergraph_from_subset(cfg.n, cfg.r, slots, subset))
+            subset = sample_mask(cfg.seed, index, pool.num_edges)
+        a = Analysis(pool, subset, slot_incidence)
         if not cfg.connected_only or a.connected:
             yield a
 
@@ -321,11 +319,11 @@ def coro_path_check(r: int) -> CoroPathReport:
         raise SweepConfigError(f"coro_path_check supports r in 3..6, got {r}")
     report = CoroPathReport(r=r)
     for a in instances(SweepConfig(n=r + 1, r=r, mode="exhaustive")):
-        if not 1 <= a.hg.num_edges < r:
+        if not 1 <= a.m < r:
             continue
         report.instances += 1
-        text = serialize_hypergraph(a.hg)
         starts, pairs, uncovered = _coro_path(a)
+        text = serialize_hypergraph(a.hg) if starts or pairs or uncovered else ""
         report.start_failures.extend({"hg": text, "vertex": v, "detail": d} for v, d in starts)
         report.e1_discrepancy.extend({"hg": text, "vertex": v} for v in uncovered)
         report.pair_failures.extend({"hg": text, "pair": [u, w]} for u, w in pairs)

@@ -23,6 +23,7 @@ from .hypergraph import (
     MAX_EDGE_SLOTS,
     Hypergraph,
     HypergraphError,
+    bits,
     hypergraph_from_subset,
     possible_edges,
 )
@@ -103,15 +104,18 @@ def classify_structure(hg: Hypergraph | Analysis) -> str:
     Independent of the exact weight sum; the sweeps verify the two agree.
     An instance is case_i when some component is the sporadic
     (r+1)-vertex kind, case_ii when all components are complete with
-    vertex count != r+1.
+    vertex count != r+1. A component's edges are those at its vertices.
     """
     a = analyze(hg)
-    r, edges = a.hg.r, a.hg.edges
+    r, inc = a.r, a.incidence
     if r == 2:
         return OUT_OF_SCOPE_R2
     kinds = []
     for mask in a.components:
-        kind = _component_matches(mask.bit_count(), sum(e & mask == e for e in edges), r)
+        es = 0
+        for v in bits(mask):
+            es |= inc[v]
+        kind = _component_matches(mask.bit_count(), es.bit_count(), r)
         if kind is None:
             return NOT_EXTREMAL
         kinds.append(kind)
@@ -124,7 +128,7 @@ def weight_sum(hg: Hypergraph | Analysis) -> tuple[int, int]:
     """The exact sum of 1/f_r(p(e)) over the edges as (numerator, positive
     denominator), not reduced: one term count * den / num per distinct p."""
     a = analyze(hg)
-    r, ps = a.hg.r, a.p_values
+    r, ps = a.r, a.p_values
     total_num, total_den = 0, 1
     for p in set(ps):
         num, den = _f_parts(r, p)
@@ -140,18 +144,17 @@ def weight_report(hg: Hypergraph | Analysis) -> WeightReport:
     f(x) = x/2) but classification reports out_of_scope_r2.
     """
     a = analyze(hg)
-    hg = a.hg
     # at most n - 1 distinct p values: one f and 1/f per value, shared
     table = {}
     for p in set(a.p_values):
-        num, den = _f_parts(hg.r, p)
+        num, den = _f_parts(a.r, p)
         table[p] = (Fraction(num, den), Fraction(den, num))
     total = Fraction(*weight_sum(a))
     return WeightReport(
         per_edge=tuple(EdgeWeight(i, p, *table[p]) for i, p in enumerate(a.p_values)),
         total=total,
-        bound=hg.n,
-        is_equality=total == hg.n,
+        bound=a.n,
+        is_equality=total == a.n,
         classification=classify_structure(a),
         k=a.k,
     )

@@ -1,6 +1,11 @@
 import dataclasses
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -244,6 +249,26 @@ def test_goodset_all_refuses_a_21_vertex_scan(tmp_path, capsys):
     assert captured.err == "error: subset scan over 2^21 sets refused (n > 20)\n"
 
 
+def test_goodset_answers_a_good_vertex_set_past_the_scan_limit(tmp_path, capsys):
+    # a loose 2-edge chain on 21 vertices: both edges have p = k = 2 and
+    # m = 2 <= f_11(2) * 21 = 7/2, so V(H) is good, yet no rotation terminal
+    # set is; with the scan refused past 20 vertices, V(H) answers
+    path = tmp_path / "chain21.hg"
+    edges = [" ".join(map(str, e)) for e in (range(11), range(10, 21))]
+    path.write_text("21 11\n" + "\n".join(edges) + "\n")
+    assert main(["goodset", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "good set S={" + ",".join(map(str, range(21))) + "} |S|=21 k=2 |N(S)|=2"
+        " <= f_r(k)|S|=7/2\n  N(S) = edges [0, 1]\n"
+    )
+    assert main(["goodset", str(path), "--all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: subset scan over 2^21 sets refused (n > 20)\n"
+
+
 def test_missing_file_reports_error(capsys):
     assert main(["analyze", "/no/such/file.hg"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -278,6 +303,29 @@ def load_script(name):
 def test_turan_table_refuses_a_cell_with_exit_2(argv, message, capsys):
     assert load_script("turan_table").main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bench_pairs_removes_its_export_when_terminated(tmp_path):
+    # the parent's export appears under TMPDIR; SIGTERM once its benchmark runs
+    root = Path(__file__).resolve().parent.parent
+    argv = [sys.executable, str(root / "scripts" / "bench_pairs.py"), "HEAD", "--workload",
+            "sweep63", "--pairs", "2", "--seconds", "30", "--out", str(tmp_path / "out.json")]
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("bench-parent-*/perfbench/run.py")):
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "no export appeared"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        status = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert status != 0
+    assert list(tmp_path.glob("bench-parent-*")) == []
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_campaign_stages_are_hg_commands():

@@ -546,7 +546,7 @@ def test_rotation_core_matches_the_reference():
         firsts = {}
         for path in every_longest_path(h):
             tau, witnesses, lhs = reference_rotation_closure(h, path)
-            got_tau, got_witnesses, got_lhs = _close(h, path.vertices, path.edges)
+            got_tau, got_witnesses, got_lhs = _close(analyze(h), path.vertices, path.edges)
             assert (got_tau, got_lhs) == (tau, lhs), (h, path)
             assert {t: BergePath(*q) for t, q in got_witnesses.items()} == witnesses, (h, path)
             over = over or lhs > 2 * tau.bit_count() - 1
@@ -586,7 +586,7 @@ def test_closing_one_path_per_last_edge_group_loses_nothing():
         a = analyze(hg)
         closures, detail = [], None
         for path in every_longest_path(a):
-            tau, _, lhs = _close(hg, path.vertices, path.edges)
+            tau, _, lhs = _close(a, path.vertices, path.edges)
             closures.append((tau, lhs))
             rhs = 2 * tau.bit_count() - 1
             if detail is None and lhs > rhs:

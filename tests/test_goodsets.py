@@ -229,7 +229,7 @@ def test_table_scan_matches_the_per_subset_reference():
         a = analyze(case)
         if a.hg.num_edges:
             assert list(enumerate_good_sets(a)) == reference_good_sets(a), a.hg
-            short += a.max_p_mask != (1 << a.hg.num_edges) - 1
+            short += a.max_p_mask != a.present
     assert short > 50
 
 
@@ -365,11 +365,11 @@ def test_good_set_existence_refuses_a_disconnected_hypergraph():
     assert str(err.value) == "good-set existence applies to connected hypergraphs"
 
 
-def close_after_one_repair(h, vs, es):
+def close_after_one_repair(a, vs, es):
     """``_close`` cut after its first repair: the lowest segment whose edge
     holds the far end v_k and whose flanks avoid it makes its inner flank
     a terminal, as the first rotation does, and the loop stops there."""
-    edges, terminals = h.edges, 1 << vs[-1]
+    edges, terminals = a.slots, 1 << vs[-1]
     for j, e in enumerate(es):
         if edges[e] & terminals and not (terminals >> vs[j] | terminals >> vs[j + 1]) & 1:
             terminals |= 1 << vs[j + 1]
@@ -378,10 +378,15 @@ def close_after_one_repair(h, vs, es):
 
 
 def test_rotation_bound_flags_a_closure_that_stops_after_one_repair(monkeypatch):
-    # the count holds wherever the loop exits; cut short, it breaks
+    # the count holds wherever the loop exits; cut short, it breaks. The
+    # detail names the path's edges in rank order, so the sweep's instance,
+    # indexed by slot, gives the text of its rank-order rebuild.
     cases = list(instances(SweepConfig(n=5, r=3, mode="exhaustive")))
     monkeypatch.setattr(goodsets, "_close", close_after_one_repair)
-    assert sum(check_rotation_bound(a) is not None for a in cases) == 843
+    flagged = [(a, detail) for a in cases if (detail := check_rotation_bound(a)) is not None]
+    assert len(flagged) == 843
+    for a, detail in flagged:
+        assert detail == check_rotation_bound(analyze(a.hg)), a.hg
 
 
 def test_structural_failure_details_are_pinned(monkeypatch):

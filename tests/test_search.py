@@ -110,12 +110,21 @@ class TestValidatePath:
         assert str(tuple_err.value) == message
         # the walker's reused lists take the same body and give the same text
         with pytest.raises(SearchError) as list_err:
-            _validate_seq(CHAIN2, list(vertices), list(edges))
+            _validate_seq(analyze(CHAIN2), list(vertices), list(edges))
         assert str(list_err.value) == message
+
+    def test_an_absent_slot_is_refused(self):
+        # slot 1 of the (5,3) pool, {0, 1, 3}, holds 0 and 1; slot 0,
+        # {0, 1, 2}, does too but is not present in this instance
+        a = Analysis(K53, 0b110)
+        assert _validate_seq(a, [0, 1], [1]) == (0b11, 0b10)
+        with pytest.raises(SearchError) as err:
+            _validate_seq(a, [0, 1], [0])
+        assert str(err.value) == "edge index 0 out of range"
 
     def test_valid_path_passes(self):
         validate_path(CHAIN2, BergePath((0, 2, 3), (0, 1)))
-        _validate_seq(CHAIN2, [1], [])
+        _validate_seq(analyze(CHAIN2), [1], [])
 
     # K43: e0 = {0, 1, 2}, e1 = {0, 1, 3}, e2 = {0, 2, 3}, e3 = {1, 2, 3}
     @pytest.mark.parametrize(
@@ -165,7 +174,7 @@ class TestValidatePath:
         the first bad edge."""
         for vs, es in ((vertices, edges), (list(vertices), list(edges))):
             with pytest.raises(SearchError) as err:
-                _validate_seq(CHAIN2, vs, es)
+                _validate_seq(analyze(CHAIN2), vs, es)
             assert str(err.value) == message
 
     def test_returns_the_vertex_and_edge_masks(self):
@@ -173,7 +182,7 @@ class TestValidatePath:
         for a in instances(SweepConfig(n=5, r=3, mode="exhaustive")):
             for s in range(a.hg.n):
                 for vs, es in search_module._walk(a, s, a.k):
-                    assert _validate_seq(a.hg, vs, es) == (mask_of(vs), mask_of(es)), (vs, es)
+                    assert _validate_seq(a, vs, es) == (mask_of(vs), mask_of(es)), (vs, es)
                     paths += 1
         assert paths == 270_305  # one longest path per last-edge group of every (5,3) instance
 
@@ -376,7 +385,7 @@ def test_p_table_cover_paths_are_longest_paths_through_the_searched_edge(monkeyp
         cover = [(edge, path) for edge, length, path in recorded if length == k > 0]
         assert pvals == tuple(p_edge(Analysis(a.hg), i) for i in range(a.hg.num_edges))
         for edge, path in cover:
-            sub = Hypergraph(a.hg.n, a.hg.r, tuple(a.hg.edges[i] for i in bits(path)))
+            sub = Hypergraph(a.n, a.r, tuple(a.slots[i] for i in bits(path)))
             assert path.bit_count() == k, (a.hg, edge, path)
             assert next(walked_paths(sub, k), None) is not None, (a.hg, edge, path)
             assert edge is None or path >> edge & 1, (a.hg, edge, path)
@@ -399,10 +408,11 @@ def test_p_table_on_k63_skips_the_edges_of_found_longest_paths(monkeypatch):
     assert calls == [None]
 
 
-def path_of(h, path, segments):
+def path_of(edges, path, segments):
     """The (vertices, edges) sequence of the length-k path with edge mask
-    ``path`` whose consecutive vertex pairs are ``segments``: the vertices
-    chain from one end, and each pair takes its own edge of the mask."""
+    ``path`` over the indices of ``edges`` whose consecutive vertex pairs
+    are ``segments``: the vertices chain from one end, and each pair takes
+    its own edge of the mask."""
     ends = 0
     for q in segments:
         ends ^= q
@@ -418,7 +428,7 @@ def path_of(h, path, segments):
             return []
         q = 1 << vs[j] | 1 << vs[j + 1]
         for i in bits(free):
-            if h.edges[i] & q == q and (rest := assign(j + 1, free & ~(1 << i))) is not None:
+            if edges[i] & q == q and (rest := assign(j + 1, free & ~(1 << i))) is not None:
                 return [i, *rest]
         return None
 
@@ -429,7 +439,8 @@ def test_endpoint_rule_edges_have_a_rotated_witness(monkeypatch):
     # An edge e at an end v0 of a length-k path v0 e1 v1 ... ek vk holds some
     # v_j, j >= 1, and v_(j-1) ... v0 e v_j ... vk is a length-k path through
     # e. Each edge the p-table gives p = k this way and that lies on no cover
-    # path gets that path built and validated, for every such j.
+    # path gets that path built and validated, for every such j. The cover
+    # paths and edges are slot indices, validated against the instance.
     covers = []
     at_k = search_module._at_k
 
@@ -451,30 +462,31 @@ def test_endpoint_rule_edges_have_a_rotated_witness(monkeypatch):
         for path, segments in covers:
             if not segments:
                 continue
-            vs, es = path_of(h, path, segments)
-            validate_path(h, BergePath(tuple(vs), tuple(es)))
+            vs, es = path_of(a.slots, path, segments)
+            validate_path(a, BergePath(tuple(vs), tuple(es)))
             for vs, es in ((vs, es), (vs[::-1], es[::-1])):
                 for e in bits(a.incidence[vs[0]] & ~on_paths):
-                    js = [j for j in range(1, k + 1) if h.edges[e] >> vs[j] & 1]
-                    assert js and h.edges[e] & ~mask_of(vs) == 0, (h, e)
+                    js = [j for j in range(1, k + 1) if a.slots[e] >> vs[j] & 1]
+                    assert js and a.slots[e] & ~mask_of(vs) == 0, (h, e)
                     for j in js:
                         witness = BergePath(
                             tuple(vs[j - 1 :: -1] + vs[j:]),
                             tuple(es[: j - 1][::-1] + [e] + es[j:]),
                         )
-                        validate_path(h, witness)
+                        validate_path(a, witness)
                         assert witness.length == k and e in witness.edges
-                        assert pvals[e] == k
+                        assert pvals[a.ranks((e,))[0]] == k
                         rotated += 1
     assert rotated > 300_000
 
 
-def assert_segments_chain_the_path(h, segments, length, path):
-    # `length` segments, each a pair inside its own edge of the path mask,
-    # that join into one path on length + 1 distinct vertices
+def assert_segments_chain_the_path(edges, segments, length, path):
+    # `length` segments, each a pair inside its own edge of the path mask
+    # over the indices of `edges`, that join into one path on length + 1
+    # distinct vertices
     assert len(segments) == length and path.bit_count() == length
     assert all(q.bit_count() == 2 for q in segments)
-    edges = [h.edges[i] for i in bits(path)]
+    edges = [edges[i] for i in bits(path)]
     assert any(
         all(q & e == q for q, e in zip(segments, order)) for order in permutations(edges)
     )
@@ -506,25 +518,27 @@ def test_capped_searches_hand_back_the_segments_of_their_path():
     # A search that reaches its cap leaves the segments of its path, one
     # inside each edge; one that stops short leaves none. The p-table gives
     # p = k without a search to an edge holding both vertices of a segment,
-    # so it must still equal the anchored search on every edge.
+    # so it must still equal the anchored search on every edge. The anchored
+    # searches run on the instance, by slot index; the p-table is rebuilt
+    # from its Hypergraph, in rank order.
     checked = 0
     for a in (*cover_instances(), *map(analyze, SHORT_EDGE_BESIDE_A_SEGMENT)):
         h = a.hg
         segments = []
         k, path = search_module._max_len(Analysis(h), segments=segments)
         if k == min(h.num_edges, h.n - 1) > 0:
-            assert_segments_chain_the_path(h, segments, k, path)
+            assert_segments_chain_the_path(h.edges, segments, k, path)
             checked += 1
         else:
             assert segments == []
         pvals = Analysis(h).p_values
-        for i in range(h.num_edges):
+        for rank, i in enumerate(bits(a.present)):
             segments = []
             p, path = search_module._max_len(a, required_edge=i, stop_at=k, segments=segments)
-            assert p == pvals[i], (h, i)
+            assert p == pvals[rank], (h, i)
             if p == k:
                 assert path >> i & 1
-                assert_segments_chain_the_path(h, segments, k, path)
+                assert_segments_chain_the_path(a.slots, segments, k, path)
                 checked += 1
             else:
                 assert segments == []

@@ -4,7 +4,15 @@ from math import comb
 import pytest
 
 from bergepaths import verify
-from bergepaths.hypergraph import hypergraph_from_subset, possible_edges, serialize_hypergraph
+from bergepaths.goodsets import find_good_set
+from bergepaths.hypergraph import (
+    Hypergraph,
+    bits,
+    hypergraph_from_subset,
+    possible_edges,
+    serialize_hypergraph,
+)
+from bergepaths.search import analyze
 from bergepaths.verify import (
     MAX_WORKERS,
     SweepConfig,
@@ -18,6 +26,7 @@ from bergepaths.verify import (
     sample_mask,
     validate_config,
 )
+from bergepaths.weights import classify_structure, weight_sum
 
 
 def built(cfg, *span):
@@ -251,3 +260,49 @@ def test_report_json_is_parseable_and_sorted(tmp_path):
     report_write(rep, out)
     data = json.loads(out.read_text())
     assert data["instances"] == 16
+
+
+def pool_and_rebuild_agree(a, walks):
+    """The values the sweeps read, from a pool instance (slot indices) and
+    from a rank-order rebuild of its Hypergraph, each structural check
+    where a sweep runs it; with ``walks``, also ``rotation_bound`` and
+    ``find_good_set``, whose certificate names N(S) in rank order."""
+    b = analyze(a.hg)
+    values = (a.k, a.p_values, a.components, a.connected)
+    assert values == (b.k, b.p_values, b.components, b.connected)
+    assert sum(1 << i for i in a.ranks(bits(a.max_p_mask))) == b.max_p_mask
+    assert (classify_structure(a), weight_sum(a)) == (classify_structure(b), weight_sum(b))
+    whole = b.connected and b.m > 0
+    for name, check, gated in verify.STRUCTURAL_CHECKS:
+        if (whole or not gated) and (walks or name != "rotation_bound"):
+            assert check(a) == check(b), (name, a.hg)
+    if whole and walks:
+        assert find_good_set(a) == find_good_set(b), a.hg
+
+
+def test_pool_instances_match_a_rank_order_rebuild():
+    # rotation_bound and find_good_set's rotation route walk every longest
+    # path, so they run on (4,3) and (5,4) only; the (5,3) rotation details
+    # are compared under a mutation that makes them fail
+    for n, r in ((4, 3), (5, 3), (5, 4), (6, 4)):
+        for a in instances(SweepConfig(n=n, r=r, mode="exhaustive")):
+            pool_and_rebuild_agree(a, walks=(n, r) in ((4, 3), (5, 4)))
+    for a in instances(SweepConfig(n=6, r=3, mode="sample", sample_count=30_000, seed=77)):
+        pool_and_rebuild_agree(a, walks=False)
+
+
+def test_a_violation_free_sweep_builds_no_hypergraph_per_instance(monkeypatch):
+    # the pool is the one Hypergraph a sweep builds until a check fails
+    built = []
+    post_init = Hypergraph.__post_init__
+
+    def counting(hg):
+        built.append(hg)
+        post_init(hg)
+
+    monkeypatch.setattr(Hypergraph, "__post_init__", counting)
+    checks = ("inequality", "equality_classifier", "good_set_existence")
+    cfg = SweepConfig(n=6, r=3, mode="sample", sample_count=800, seed=1, checks=checks)
+    report = run_sweep(cfg)
+    assert report.instances == 800 and report.violations == []
+    assert len(built) == 1
