@@ -184,16 +184,22 @@ def delete_vertices(hg: Hypergraph, vertex_set: int) -> tuple[Hypergraph, dict[i
 
 def incidence_masks(hg: Hypergraph) -> list[int]:
     """Bitmask over edge indices of the edges holding each vertex."""
-    return [sum(1 << i for i, e in enumerate(hg.edges) if e >> v & 1) for v in range(hg.n)]
+    inc = [0] * hg.n
+    for i, e in enumerate(hg.edges):
+        while e:
+            low = e & -e
+            inc[low.bit_length() - 1] |= 1 << i
+            e ^= low
+    return inc
 
 
 def component_masks(hg: Hypergraph, incidence=None) -> tuple[int, ...]:
     """The vertex mask of each connected component, ordered by least vertex,
-    by a flood over ``incidence`` (default: every edge's) taking each edge
-    once. A chain of pairwise-meeting edges, or a Berge path, joins any two
-    vertices of one component; an isolated vertex is a component of its own."""
+    by a flood over ``incidence`` (default: every edge's). A chain of
+    pairwise-meeting edges, or a Berge path, joins any two vertices of one
+    component; an isolated vertex is a component of its own."""
     inc, edges = incidence_masks(hg) if incidence is None else incidence, hg.edges
-    groups, rest, seen = [], hg.vertex_mask, 0
+    groups, rest = [], hg.vertex_mask
     while rest:
         group = new = rest & -rest  # flood from the least vertex left
         while new:
@@ -202,8 +208,6 @@ def component_masks(hg: Hypergraph, incidence=None) -> tuple[int, ...]:
                 low = new & -new
                 es |= inc[low.bit_length() - 1]
                 new ^= low
-            es &= ~seen
-            seen |= es
             while es:
                 low = es & -es
                 new |= edges[low.bit_length() - 1]

@@ -5,21 +5,19 @@ edges, v0 e1 v1 ... ek vk, where each edge contains its two flanking
 vertices. Only the defining vertices belong to the path; an edge may also
 contain vertices outside it.
 
-An instance is an :class:`Analysis`: a pool, a Hypergraph whose edges are
-the slots, and a present mask; its incidence masks are the pool's ANDed
-with the mask. Inside the package an edge index is a slot index, and the
-searches read n, r, the slots and the mask, never a Hypergraph of the
-instance, so a sweep instance is a mask over one pool of all C(n, r)
-slots. ``Analysis(hg)`` is the pool of ``hg``'s own edges, all present,
-where a slot index is the rank index, the edge index of ``hg``. Edge
-indices cross the boundary in rank order (``Analysis.ranks`` out,
-``_slot`` in); the validators read an Analysis's own indices.
+An instance is an :class:`Analysis`, a pool (a Hypergraph whose edges are
+the slots) and a present mask. The searches read n, r, the slots, the mask
+and incidence masks ANDed with it, never a Hypergraph of the instance, and
+an edge index is a slot index, so a sweep instance is a mask over one pool
+of all C(n, r) slots. ``Analysis(hg)`` is the pool of ``hg``'s own edges,
+all present, where a slot index is the rank index, the edge index of
+``hg``. Results leave in rank order (``Analysis.ranks``), an index passed
+in is mapped to its slot (``_slot``), and the validators read slots.
 
 Three depth-first searches do all the work. ``_max_len`` maximizes over
-(endpoint, used-vertex mask, used-edge mask) states. It gives k, the
-p-table over a cover of longest paths (``Analysis._p_table``), every
-``longest_path_length`` and ``p_edge`` query and the existence queries
-of ``turan_exact``, which excludes edges of one pool in place.
+(endpoint, used-vertex mask, used-edge mask) states for k, the p-table
+over a cover of longest paths (``Analysis._p_table``), ``p_edge``, every
+``longest_path_length`` query and ``turan_exact``'s existence queries.
 
 ``_walk`` lazily yields the paths of an exact length from one start
 vertex, in the same order, but only the first path of each group that
@@ -189,7 +187,7 @@ class Analysis:
     def incidence(self) -> tuple[int, ...]:
         """Bitmask over slot indices of the present edges holding each vertex."""
         inc = self._slot_incidence or incidence_masks(self._pool)
-        return tuple(map(self.present.__and__, inc))
+        return tuple(inc if self.m == len(self.slots) else map(self.present.__and__, inc))
 
     @cached_property
     def components(self) -> tuple[int, ...]:
@@ -292,11 +290,9 @@ def _max_len(
     the way back each call appends its segment (the 2-bit mask of its two
     path vertices) to ``segments``; a search that stops short adds none.
 
-    No path is longer than min(m - excluded, n - 1). Along a path of d
-    edges, d + min(unused edges, unused vertices) is that cap at every
-    node, so one root check does all the pruning a per-node bound could.
-    ``excluded_edges`` masks out slot indices entirely, letting callers
-    search sub-hypergraphs in place.
+    No path is longer than min(m - excluded, n - 1); a per-node bound
+    could prune only at the root. ``excluded_edges`` masks out slot
+    indices entirely, letting callers search sub-hypergraphs in place.
     """
     n = a.n
     cap = min(a.m - excluded_edges.bit_count(), n - 1)
