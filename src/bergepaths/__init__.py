@@ -4,13 +4,11 @@ from .hypergraph import (
     Hypergraph,
     HypergraphError,
     complete_hypergraph,
-    components,
-    delete_vertices,
     from_edge_lists,
     from_masks,
+    induced,
     is_connected,
     load_hypergraph,
-    neighborhood,
     parse_hypergraph,
     serialize_hypergraph,
 )

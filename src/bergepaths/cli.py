@@ -79,7 +79,7 @@ def cmd_longest(args) -> int:
     return 0
 
 
-def _print_certificate(hg, cert) -> None:
+def _print_certificate(cert) -> None:
     print(
         f"good set S={_vertex_list(cert.S)} |S|={cert.size} k={cert.k}"
         f" |N(S)|={len(cert.NS)} <= f_r(k)|S|={format_fraction(cert.bound)}"
@@ -92,11 +92,11 @@ def cmd_goodset(args) -> int:
     if args.all:
         count = 0
         for cert in enumerate_good_sets(hg):
-            _print_certificate(hg, cert)
+            _print_certificate(cert)
             count += 1
         print(f"{count} good sets")
         return 0
-    _print_certificate(hg, find_good_set(hg))
+    _print_certificate(find_good_set(hg))
     return 0
 
 

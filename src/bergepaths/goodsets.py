@@ -65,7 +65,7 @@ class GoodSetError(ValueError):
 
 @dataclass(frozen=True)
 class GoodSetCertificate:
-    """A verified good set: S, its edge neighborhood in rank order, and the exact bound."""
+    """A verified good set: S, the edges N(S) meeting it in rank order, and the exact bound."""
 
     S: int
     k: int

@@ -148,38 +148,15 @@ def load_hypergraph(path) -> Hypergraph:
         return parse_hypergraph(fh.read())
 
 
-def neighborhood(hg: Hypergraph, edge_refs, vertex_set: int) -> frozenset[int]:
-    """Edge indices among ``edge_refs`` whose edge meets ``vertex_set``.
-
-    ``edge_refs`` may be None for all edges. Empty vertex sets give the
-    empty result; the operation distributes over unions of vertex sets.
-    """
-    if vertex_set & ~hg.vertex_mask:
+def induced(hg: Hypergraph, keep: int) -> tuple[Hypergraph, dict[int, int]]:
+    """The edges inside ``keep`` on its vertices relabelled 0..|keep|-1 in
+    order, and the old-to-new map. H - S is ``induced(hg, hg.vertex_mask & ~S)``;
+    a component is ``induced(hg, mask)`` for a mask of :func:`component_masks`."""
+    if keep & ~hg.vertex_mask:
         raise HypergraphError("vertex set contains ids >= n")
-    refs = range(hg.num_edges) if edge_refs is None else tuple(edge_refs)
-    for i in refs:
-        if not 0 <= i < hg.num_edges:
-            raise HypergraphError(f"edge index {i} outside 0..{hg.num_edges - 1}")
-    return frozenset(i for i in refs if hg.edges[i] & vertex_set)
-
-
-def _induced(hg: Hypergraph, keep: int) -> tuple[Hypergraph, dict[int, int]]:
-    """The edges inside ``keep`` on its vertices relabelled 0..|keep|-1 in order, and the map."""
     relabel = {v: i for i, v in enumerate(bits(keep))}
     masks = [mask_of(relabel[v] for v in bits(e)) for e in hg.edges if e & keep == e]
     return from_masks(len(relabel), hg.r, masks), relabel
-
-
-def delete_vertices(hg: Hypergraph, vertex_set: int) -> tuple[Hypergraph, dict[int, int]]:
-    """Remove ``vertex_set`` and every edge meeting it.
-
-    Remaining vertices are relabeled to 0..n-|S|-1 preserving order; the
-    old-to-new map is returned alongside. Together with
-    :func:`neighborhood`, the kept and dropped edges partition E(H).
-    """
-    if vertex_set & ~hg.vertex_mask:
-        raise HypergraphError("vertex set contains ids >= n")
-    return _induced(hg, hg.vertex_mask & ~vertex_set)
 
 
 def incidence_masks(hg: Hypergraph) -> list[int]:
@@ -217,11 +194,6 @@ def component_masks(hg: Hypergraph, incidence=None) -> tuple[int, ...]:
         groups.append(group)
         rest &= ~group
     return tuple(groups)
-
-
-def components(hg: Hypergraph) -> list[tuple[Hypergraph, dict[int, int]]]:
-    """The components of :func:`component_masks`, each with its old-to-new vertex map."""
-    return [_induced(hg, group) for group in component_masks(hg)]
 
 
 def is_connected(hg: Hypergraph) -> bool:

@@ -49,8 +49,8 @@ def _assignable(edge_verts, seq, v0_fixed, vk_fixed) -> bool:
 def oracle_longest_path(hg: Hypergraph, query: PathQuery | None = None) -> int:
     """Maximum Berge path length satisfying ``query``, by full enumeration.
 
-    Returns 0 when no qualifying path with an edge exists. With a
-    target_length t the result is min(maximum, t), as PathQuery documents.
+    Returns 0 when no qualifying path with an edge exists; with a required
+    edge, that edge's p(e).
     """
     if query is None:
         query = PathQuery()
@@ -61,13 +61,12 @@ def oracle_longest_path(hg: Hypergraph, query: PathQuery | None = None) -> int:
         raise OracleError(f"{m} edges exceed the oracle cap of {ORACLE_MAX_EDGES}")
     edge_verts = [tuple(bits(e)) for e in hg.edges]
     hi = min(m, hg.n - 1) if hg.n else 0
-    cap = hi if query.target_length is None else query.target_length
     for length in range(hi, 0, -1):
         for seq in permutations(range(m), length):
             if query.required_edge is not None and query.required_edge not in seq:
                 continue
             if _assignable(edge_verts, seq, None, None):
-                return min(length, cap)
+                return length
     return 0
 
 

@@ -71,19 +71,9 @@ class BergeCycle:
 
 @dataclass(frozen=True)
 class PathQuery:
-    """Constraints for one search: force an edge onto the path, or stop early.
-
-    ``target_length`` is an early-exit threshold: the search may stop once a
-    qualifying path of that length is found, so the result is
-    min(true maximum, target_length). A negative one is refused.
-    """
+    """Constraints for one search: an edge the path must use, or none."""
 
     required_edge: int | None = None
-    target_length: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.target_length is not None and self.target_length < 0:
-            raise SearchError(f"target length {self.target_length} < 0")
 
 
 def validate_path(hg: Hypergraph | Analysis, path: BergePath) -> None:
@@ -133,8 +123,9 @@ def validate_cycle(hg: Hypergraph | Analysis, cycle: BergeCycle) -> None:
     vs, es = cycle.vertices, cycle.edges
     if len(vs) != len(es) or len(vs) < 2:
         raise SearchError(f"cycle needs k >= 2 vertices and k edges, got {len(vs)}/{len(es)}")
-    _validate_seq(analyze(hg), vs, es[:-1])
-    _validate_seq(analyze(hg), (vs[-1], vs[0]), es[-1:])
+    a = analyze(hg)
+    _validate_seq(a, vs, es[:-1])
+    _validate_seq(a, (vs[-1], vs[0]), es[-1:])
     if es[-1] in es[:-1]:
         raise SearchError(f"repeated edge in cycle {tuple(es)}")
 
@@ -342,16 +333,13 @@ def _max_len(
 
 
 def longest_path_length(hg: Hypergraph | Analysis, query: PathQuery | None = None) -> int:
-    """Maximum Berge path length subject to an optional query.
-
-    Returns 0 when no qualifying path with at least one edge exists (a
-    single vertex is a length-0 path).
+    """Maximum Berge path length subject to an optional query: k, or with a
+    required edge its p(e), as ``p_edge``. Returns 0 when no qualifying path
+    with at least one edge exists (a single vertex is a length-0 path).
     """
-    a = analyze(hg)
-    if query is None:
-        return a.k
-    edge = None if query.required_edge is None else _slot(a, query.required_edge)
-    return _max_len(a, required_edge=edge, stop_at=query.target_length)[0]
+    if query is None or query.required_edge is None:
+        return analyze(hg).k
+    return p_edge(hg, query.required_edge)
 
 
 def p_edge(hg: Hypergraph | Analysis, edge: int) -> int:

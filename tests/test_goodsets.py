@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from bergepaths import goodsets
@@ -11,7 +13,7 @@ from bergepaths.goodsets import (
     is_good_set,
     rotation_closure,
 )
-from bergepaths.hypergraph import Hypergraph, complete_hypergraph, from_edge_lists, mask_of
+from bergepaths.hypergraph import Hypergraph, complete_hypergraph, from_edge_lists, induced, mask_of
 from bergepaths.search import (
     BergeCycle,
     BergePath,
@@ -22,7 +24,7 @@ from bergepaths.search import (
     longest_path_length,
 )
 from bergepaths.verify import SweepConfig, _check_instance, instances
-from bergepaths.weights import f_r
+from bergepaths.weights import f_r, weight_sum
 
 
 def hg(n, r, *edges):
@@ -356,6 +358,34 @@ def test_good_set_existence_runs_the_route_and_never_scans(monkeypatch):
         good = [tau for tau in taus if is_good_set(a, tau) is not None]
         assert [c.S for c in goodsets._good_terminal_sets(a)] == good, a.hg
         assert good or a not in routed, a.hg
+
+
+def test_deleting_a_good_set_is_the_induction_step():
+    """The paper's induction step on every connected (4,3), (5,3) and (5,4)
+    instance with an edge and the 300 seed-9 (6,3) samples: with S from
+    ``find_good_set`` and H - S from ``induced``, no edge avoiding S gets a
+    longer path in H - S, and N(S) adds at most |S| to the weight sum, in
+    exact rationals, with equality wherever the sum equals n."""
+    configs = [
+        SweepConfig(n=n, r=r, mode="exhaustive", connected_only=True)
+        for n, r in ((4, 3), (5, 3), (5, 4))
+    ]
+    configs.append(
+        SweepConfig(n=6, r=3, mode="sample", connected_only=True, sample_count=300, seed=9)
+    )
+    cases = [a for cfg in configs for a in instances(cfg) if a.m]
+    tight = 0
+    for a in cases:
+        h, s = a.hg, find_good_set(a).S
+        sub, _ = induced(h, h.vertex_mask & ~s)
+        kept = [p for e, p in zip(h.edges, a.p_values) if not e & s]
+        assert all(q <= p for q, p in zip(analyze(sub).p_values, kept, strict=True)), (h, s)
+        total, rest = Fraction(*weight_sum(a)), Fraction(*weight_sum(sub))
+        assert total - rest <= s.bit_count(), (h, s)
+        if total == h.n:
+            assert total - rest == s.bit_count(), (h, s)
+            tight += 1
+    assert len(cases) == 11 + 958 + 26 + 300 and tight == 29
 
 
 def test_good_set_existence_refuses_a_disconnected_hypergraph():

@@ -8,13 +8,12 @@ from bergepaths.hypergraph import (
     HypergraphError,
     bits,
     complete_hypergraph,
-    components,
-    delete_vertices,
+    component_masks,
     from_edge_lists,
     from_masks,
+    induced,
     is_connected,
     mask_of,
-    neighborhood,
     parse_hypergraph,
     possible_edges,
     serialize_hypergraph,
@@ -26,6 +25,16 @@ from bergepaths.weights import CASE_I, CASE_II, NOT_EXTREMAL, classify_structure
 
 def hg(n, r, *edges):
     return from_edge_lists(n, r, edges)
+
+
+def delete(h, s):
+    """H - S, the one way the library forms it."""
+    return induced(h, h.vertex_mask & ~s)
+
+
+def components(h):
+    """Each component rebuilt on 0..|C|-1, with its old-to-new vertex map."""
+    return [induced(h, group) for group in component_masks(h)]
 
 
 class TestParse:
@@ -77,46 +86,29 @@ class TestParse:
             Hypergraph(4, 3, (mask_of([1, 2, 3]), mask_of([0, 1, 2])))
 
 
-class TestNeighborhood:
-    def test_single_vertex(self):
-        h = hg(4, 3, [0, 1, 2], [1, 2, 3])
-        assert neighborhood(h, None, mask_of([0])) == {0}
-        assert neighborhood(h, None, mask_of([1])) == {0, 1}
-
-    def test_empty_set(self):
-        h = hg(4, 3, [0, 1, 2], [1, 2, 3])
-        assert neighborhood(h, None, 0) == frozenset()
-
-    def test_restricted_edge_family(self):
-        h = hg(5, 3, [0, 1, 2], [1, 2, 3], [2, 3, 4])
-        assert neighborhood(h, [1, 2], mask_of([0])) == frozenset()
-        assert neighborhood(h, [1, 2], mask_of([4])) == {2}
-
-    @pytest.mark.parametrize("refs, vertex_set", [([-1], 1 << 3), ([0, 7], 1)])
-    def test_edge_index_out_of_range(self, refs, vertex_set):
-        # unchecked, -1 would wrap to the last edge and 7 raise a bare IndexError
-        h = hg(5, 3, [0, 1, 2], [2, 3, 4])
-        with pytest.raises(HypergraphError, match=rf"edge index {refs[-1]} outside 0\.\.1"):
-            neighborhood(h, refs, vertex_set)
-
-
 class TestDelete:
     def test_drop_one_vertex(self):
         h = hg(4, 3, [0, 1, 2], [1, 2, 3])
-        sub, relabel = delete_vertices(h, mask_of([3]))
+        sub, relabel = delete(h, mask_of([3]))
         assert sub.n == 3 and sub.num_edges == 1
         assert relabel == {0: 0, 1: 1, 2: 2}
 
     def test_full_deletion(self):
         h = hg(3, 3, [0, 1, 2])
-        sub, relabel = delete_vertices(h, mask_of([0, 1, 2]))
+        sub, relabel = delete(h, mask_of([0, 1, 2]))
         assert sub.n == 0 and sub.num_edges == 0 and relabel == {}
 
     def test_relabeling_is_order_preserving(self):
         h = hg(4, 3, [0, 1, 2], [1, 2, 3])
-        sub, relabel = delete_vertices(h, mask_of([0, 3]))
+        sub, relabel = delete(h, mask_of([0, 3]))
         assert sub.n == 2 and sub.num_edges == 0
         assert relabel == {1: 0, 2: 1}
+
+    def test_ids_past_n_refused(self):
+        h = hg(4, 3, [0, 1, 2], [1, 2, 3])
+        for keep in (1 << 4, h.vertex_mask | 1 << 9):
+            with pytest.raises(HypergraphError, match="^vertex set contains ids >= n$"):
+                induced(h, keep)
 
 
 class TestComponents:
@@ -181,20 +173,11 @@ def test_roundtrip_parse_serialize(h):
     assert parse_hypergraph(serialize_hypergraph(h)) == h
 
 
-@given(small_hypergraphs(), st.integers(min_value=0), st.integers(min_value=0))
-def test_neighborhood_distributes_over_union(h, a, b):
-    sa = a & h.vertex_mask
-    sb = b & h.vertex_mask
-    assert neighborhood(h, None, sa | sb) == neighborhood(h, None, sa) | neighborhood(
-        h, None, sb
-    )
-
-
 @given(small_hypergraphs(), st.integers(min_value=0))
 def test_edge_partition_under_deletion(h, s):
     s &= h.vertex_mask
-    sub, _ = delete_vertices(h, s)
-    assert len(neighborhood(h, None, s)) + sub.num_edges == h.num_edges
+    sub, _ = delete(h, s)
+    assert sum(1 for e in h.edges if e & s) + sub.num_edges == h.num_edges
 
 
 @given(small_hypergraphs())
@@ -241,7 +224,7 @@ def test_components_of_connected_instances_equal_the_general_relabelling():
     assert connected > 0
 
 
-def induced(h, keep):
+def reference_induced(h, keep):
     """The sub-hypergraph on the vertex set ``keep``, relabelled in order."""
     relabel = {v: i for i, v in enumerate(v for v in range(h.n) if keep >> v & 1)}
     inside = ([relabel[v] for v in bits(e)] for e in h.edges if set(bits(e)) <= set(relabel))
@@ -273,10 +256,12 @@ def test_component_masks_and_induced_sub_hypergraphs_match_the_references():
     classes = set()
     for h in small + unions:
         a = Analysis(h)
-        assert a.components == tuple(mask_of(relabel) for _, relabel in components(h)), h
+        reference = relabelled_components(h)
+        assert a.components == tuple(mask_of(relabel) for _, relabel in reference), h
+        assert components(h) == reference, h
         assert a.connected == (len(a.components) <= 1) == is_connected(h)
         classes.add(classify_structure(a))
         assert classify_structure(a) == classified_by_rebuilt_components(h), h
         for s in range(1 << h.n):
-            assert delete_vertices(h, s) == induced(h, h.vertex_mask & ~s), (h, s)
+            assert delete(h, s) == reference_induced(h, h.vertex_mask & ~s), (h, s)
     assert classes == {CASE_I, CASE_II, NOT_EXTREMAL}

@@ -7,8 +7,8 @@ from bergepaths.hypergraph import (
     Hypergraph,
     bits,
     complete_hypergraph,
-    delete_vertices,
     from_edge_lists,
+    induced,
     is_connected,
     mask_of,
     possible_edges,
@@ -234,16 +234,6 @@ class TestCycles:
             find_berge_cycle(K43, 1)
 
 
-class TestQueries:
-    def test_target_length_early_exit(self):
-        assert longest_path_length(K53, PathQuery(target_length=2)) == 2
-
-    def test_negative_target_length_refused(self):
-        assert longest_path_length(K53, PathQuery(target_length=0)) == 0
-        with pytest.raises(SearchError, match="target length -3 < 0"):
-            longest_path_length(K53, PathQuery(target_length=-3))
-
-
 class TestOracle:
     def test_single_edge(self):
         assert oracle_longest_path(SINGLE) == 1
@@ -306,18 +296,15 @@ def test_analysis_matches_oracle_table(h):
 def test_oracle_equivalence_combined_constraints(h, data):
     if h.num_edges == 0 or h.n == 0:
         return
-    q = PathQuery(
-        required_edge=data.draw(st.integers(min_value=0, max_value=h.num_edges - 1)),
-        target_length=data.draw(st.integers(min_value=0, max_value=h.n)),
-    )
-    assert longest_path_length(h, q) == oracle_longest_path(h, q)
+    q = PathQuery(required_edge=data.draw(st.integers(min_value=0, max_value=h.num_edges - 1)))
+    assert longest_path_length(h, q) == p_edge(h, q.required_edge) == oracle_longest_path(h, q)
 
 
 @given(small_searchable(), st.integers(min_value=0))
 @settings(max_examples=100)
 def test_p_monotone_under_vertex_deletion(h, s):
     s &= h.vertex_mask
-    sub, _ = delete_vertices(h, s)
+    sub, _ = induced(h, h.vertex_mask & ~s)
     kept = [i for i, e in enumerate(h.edges) if not e & s]
     for sub_idx, old_idx in enumerate(kept):
         assert p_edge(h, old_idx) >= p_edge(sub, sub_idx)
