@@ -7,8 +7,7 @@ go through: deleting one costs at most |S| of the bound. The sweeps
 certify three structural claims through ``check_*`` functions, each
 returning the detail of a violation or None. They find a good set as
 the paper does, from a longest path: V(H), or a rotation terminal set.
-The 2^n subset scan serves only ``hg goodset --all`` and the last
-resort of ``find_good_set``.
+The 2^n subset scan serves only ``hg goodset --all``.
 
 The rotation closure realizes the constructive core of the terminal-set
 argument: starting from a path P with a pinned terminal v0, repeatedly
@@ -267,38 +266,32 @@ def check_rotation_bound(hg: Hypergraph | Analysis) -> str | None:
 
 
 def find_good_set(hg: Hypergraph | Analysis) -> GoodSetCertificate:
-    """A good set of a connected hypergraph with r >= 3 and an edge.
+    """A good set of a connected hypergraph with r >= 3 and an edge, by
+    the route ``check_good_set_existence`` certifies; no subset scan runs.
 
-    Attempts, in order: the whole vertex set when k = 1 (connected, that
-    is one edge on n = r vertices) or a (k+1)-cycle exists; the good
-    terminal sets of ``_good_terminal_sets``, the route
-    ``check_good_set_existence`` reads too, preferring the smallest
-    (ties by bitmask); an exhaustive subset scan as a last resort.
+    The route: the whole vertex set when k = 1 (connected, that is one
+    edge on n = r vertices) or a (k+1)-cycle exists; else the first set
+    of ``_good_terminal_sets``, in walk order; else V(H) if it is good.
 
-    In every sweep measured, the scan runs only where the longest path
-    uses all m = k <= r edges, and there V(H) is good too: every
+    In every sweep measured, that last step runs only where the longest
+    path uses all m = k <= r edges, and there V(H) is good: every
     p(e) = k, and m = k <= f_r(k) n, as f_r(k) = k/(r+1) and n >= r + 1
-    for 2 <= k <= r - 1, and f_r(r) = 1 and n >= r. The scan still
-    returns its first good set, which need not be V(H). Past
-    MAX_SCAN_VERTICES, where the scan is refused, a good V(H) answers.
+    for 2 <= k <= r - 1, and f_r(r) = 1 and n >= r. A route that finds
+    nothing raises GoodSetError.
     """
     a = analyze(hg)
     _check_domain(a)
     if not a.connected:
         raise GoodSetError("find_good_set expects a connected hypergraph; split into components first")
+    whole = (1 << a.n) - 1
     if a.k == 1 or find_berge_cycle(a, a.k + 1) is not None:
-        cert = is_good_set(a, (1 << a.n) - 1)
+        cert = is_good_set(a, whole)
         assert cert is not None, "a lone edge or a spanning (k+1)-cycle makes V(H) good"
         return cert
-
-    cert = min(_good_terminal_sets(a), key=lambda c: (c.size, c.S), default=None)
-    if cert is None and a.n > MAX_SCAN_VERTICES:
-        cert = is_good_set(a, (1 << a.n) - 1)
-    if cert is not None:
-        return cert
-    for cert in enumerate_good_sets(a):
-        return cert
-    raise AssertionError("no good set found; contradicts the existence theorems")
+    cert = next(_good_terminal_sets(a), None) or is_good_set(a, whole)
+    if cert is None:
+        raise GoodSetError("no good set: V(H) is not good and no rotation terminal set is")
+    return cert
 
 
 def check_good_set_existence(hg: Hypergraph | Analysis) -> str | None:

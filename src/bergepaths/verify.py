@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -239,6 +238,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepReport:
         step = -(-total // workers)
         starts = list(range(0, total, step))
         ends = [min(s + step, total) for s in starts]
+        # imported here, as it adds 2.8 MiB to the peak RSS of a process
+        # that never starts a worker
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_block, [cfg] * len(starts), starts, ends))
     instances, census, violations = merge_block_results(parts)

@@ -13,8 +13,14 @@ import pytest
 
 from bergepaths import cli, hypergraph, weights
 from bergepaths.cli import main
-from bergepaths.goodsets import GoodSetError
-from bergepaths.hypergraph import HypergraphError, complete_hypergraph, serialize_hypergraph
+from bergepaths.goodsets import GoodSetError, is_good_set
+from bergepaths.hypergraph import (
+    HypergraphError,
+    complete_hypergraph,
+    from_edge_lists,
+    mask_of,
+    serialize_hypergraph,
+)
 from bergepaths.oracle import OracleError
 from bergepaths.search import SearchError
 from bergepaths.verify import SweepConfigError
@@ -239,6 +245,26 @@ def test_gapcheck_below_the_domain_is_an_error(capsys):
     assert "r >= 3" in capsys.readouterr().err
 
 
+def test_goodset_answers_a_15_vertex_5_uniform_input_at_once(tmp_path):
+    # k = m = 10 and no 11-cycle: the first good terminal set answers, where
+    # closing every longest path did not finish in minutes
+    edges = [
+        (2, 3, 7, 8, 10), (1, 3, 6, 9, 11), (0, 3, 6, 10, 12), (0, 3, 9, 11, 12),
+        (2, 3, 8, 11, 13), (2, 5, 7, 12, 13), (0, 1, 3, 9, 14), (4, 6, 9, 12, 14),
+        (0, 6, 10, 13, 14), (2, 6, 11, 13, 14),
+    ]
+    path = tmp_path / "wide.hg"
+    path.write_text("15 5\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "bergepaths.cli", "goodset", str(path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0 and proc.stderr == ""
+    printed = proc.stdout.split("{", 1)[1].split("}", 1)[0]
+    h = from_edge_lists(15, 5, edges)
+    assert is_good_set(h, mask_of(map(int, printed.split(",")))) is not None
+
+
 def test_goodset_all_refuses_a_21_vertex_scan(tmp_path, capsys):
     # the scan's refusal, kept where the scan still runs
     path = tmp_path / "wide.hg"
@@ -252,7 +278,7 @@ def test_goodset_all_refuses_a_21_vertex_scan(tmp_path, capsys):
 def test_goodset_answers_a_good_vertex_set_past_the_scan_limit(tmp_path, capsys):
     # a loose 2-edge chain on 21 vertices: both edges have p = k = 2 and
     # m = 2 <= f_11(2) * 21 = 7/2, so V(H) is good, yet no rotation terminal
-    # set is; with the scan refused past 20 vertices, V(H) answers
+    # set is; V(H) answers, while the scan is refused past 20 vertices
     path = tmp_path / "chain21.hg"
     edges = [" ".join(map(str, e)) for e in (range(11), range(10, 21))]
     path.write_text("21 11\n" + "\n".join(edges) + "\n")

@@ -565,12 +565,12 @@ def test_rotation_core_matches_the_reference():
 
 def reference_find_good_set(a, closures):
     """``find_good_set`` with its rotation route read from ``closures``, a
-    list of (terminals, lhs) for every longest path."""
+    list of (terminals, lhs) for every longest path in walk order: the
+    first good terminal set, else V(H)."""
     if a.k == 1 or find_berge_cycle(a, a.k + 1) is not None:
         return goodsets.is_good_set(a, a.hg.vertex_mask)
     certs = filter(None, (goodsets.is_good_set(a, tau) for tau, _ in closures))
-    best = min(certs, key=lambda c: (c.size, c.S), default=None)
-    return best or next(goodsets.enumerate_good_sets(a))
+    return next(certs, None) or goodsets.is_good_set(a, a.hg.vertex_mask)
 
 
 def test_closing_one_path_per_last_edge_group_loses_nothing():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from bergepaths import goodsets
+from bergepaths.cli import main
 from bergepaths.goodsets import (
     GoodSetError,
     check_good_set_existence,
@@ -13,7 +14,14 @@ from bergepaths.goodsets import (
     is_good_set,
     rotation_closure,
 )
-from bergepaths.hypergraph import Hypergraph, complete_hypergraph, from_edge_lists, induced, mask_of
+from bergepaths.hypergraph import (
+    Hypergraph,
+    complete_hypergraph,
+    from_edge_lists,
+    induced,
+    mask_of,
+    serialize_hypergraph,
+)
 from bergepaths.search import (
     BergeCycle,
     BergePath,
@@ -257,38 +265,70 @@ def test_scan_preconditions_raise_at_the_call():
         enumerate_good_sets(Hypergraph(21, 2, ()))
 
 
-def test_scan_fallback_runs_only_when_k_is_at_most_r(monkeypatch):
-    """``find_good_set`` falls back to the subset scan only where k <= r and
-    the m edges number k, so V(H) is good: on every connected (4,3), (5,3)
-    and (5,4) instance with an edge, 6, 15 and 25 times, the scan counts of
-    the route census, and on 300 sampled (6,3) and (6,4) instances."""
-    fallbacks = []
-    scan = goodsets.enumerate_good_sets
+def test_find_good_set_route_census(monkeypatch):
+    """``find_good_set`` never scans, returns a set that ``is_good_set``
+    accepts, and falls back to V(H) only where the longest path uses all
+    m = k <= r edges. The (cycle, rotation, V(H)) route counts over every
+    connected (4,3), (5,3), (5,4) and (6,4) instance with an edge are
+    pinned; the (6,4) ones are ROADMAP item 2's table."""
+
+    def no_scan(a):
+        raise AssertionError("the subset scan ran")
+
+    terminal_sets = goodsets._good_terminal_sets
+    firsts = []
 
     def spy(a):
-        whole_is_good = is_good_set(a, a.hg.vertex_mask) is not None
-        fallbacks.append((a.k, a.hg.r, a.hg.num_edges, whole_is_good))
-        return scan(a)
+        firsts.append(None)
+        for cert in terminal_sets(a):
+            firsts[-1] = cert
+            yield cert
 
-    monkeypatch.setattr(goodsets, "enumerate_good_sets", spy)
-    configs = [
-        SweepConfig(n=n, r=r, mode="exhaustive", connected_only=True)
-        for n, r in ((4, 3), (5, 3), (5, 4))
-    ]
-    configs += [
-        SweepConfig(n=6, r=r, mode="sample", connected_only=True, sample_count=300, seed=9)
-        for r in (3, 4)
-    ]
-    counts = []
-    for cfg in configs:
-        fallbacks.clear()
-        for a in instances(cfg):
-            if a.hg.num_edges:
-                find_good_set(a)
-        # the longest path uses every edge, so V(H) is good as well
-        assert all(k <= r and m == k and good for k, r, m, good in fallbacks), (cfg, fallbacks)
-        counts.append(len(fallbacks))
-    assert counts[:3] == [6, 15, 25]
+    monkeypatch.setattr(goodsets, "enumerate_good_sets", no_scan)
+    monkeypatch.setattr(goodsets, "_good_terminal_sets", spy)
+    census = {}
+    for n, r in ((4, 3), (5, 3), (5, 4), (6, 4)):
+        counts = [0, 0, 0]
+        for a in instances(SweepConfig(n=n, r=r, mode="exhaustive", connected_only=True)):
+            if not a.m:
+                continue
+            firsts.clear()
+            cert = find_good_set(a)
+            assert is_good_set(a, cert.S) == cert, a.hg
+            if not firsts:
+                assert cert.S == a.hg.vertex_mask, a.hg
+                counts[0] += 1
+            elif firsts[0] is not None:
+                assert cert == firsts[0], a.hg
+                counts[1] += 1
+            else:
+                # the longest path uses every edge, so V(H) is good
+                assert cert.S == a.hg.vertex_mask and a.m == a.k <= r, a.hg
+                counts[2] += 1
+        census[n, r] = tuple(counts)
+    assert census == {
+        (4, 3): (1, 4, 6),
+        (5, 3): (608, 335, 15),
+        (5, 4): (1, 0, 25),
+        (6, 4): (27_764, 4_287, 545),
+    }
+
+
+def test_find_good_set_refuses_when_no_route_answers(monkeypatch, tmp_path, capsys):
+    # SHORT_EDGE has no 7-cycle and p({0, 1, 4}) = 5 < k = 6, so V(H) is not
+    # good; with no terminal set good either, the route finds nothing
+    assert find_good_set(SHORT_EDGE).S == 1 << 5
+    monkeypatch.setattr(goodsets, "_good_terminal_sets", lambda a: iter(()))
+    message = "no good set: V(H) is not good and no rotation terminal set is"
+    with pytest.raises(GoodSetError) as err:
+        find_good_set(SHORT_EDGE)
+    assert str(err.value) == message
+    path = tmp_path / "short_edge.hg"
+    path.write_text(serialize_hypergraph(SHORT_EDGE))
+    assert main(["goodset", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def old_good_set_existence(a):
