@@ -3,7 +3,6 @@
 from .hypergraph import (
     Hypergraph,
     HypergraphError,
-    complete_hypergraph,
     from_edge_lists,
     from_masks,
     induced,
@@ -24,7 +23,6 @@ from .search import (
     longest_path_length,
     p_edge,
 )
-from .oracle import oracle_length_table, oracle_longest_path
 from .weights import (
     TuranResult,
     WeightReport,
@@ -39,7 +37,6 @@ from .goodsets import (
     check_good_set_existence,
     check_rotation_bound,
     check_spanning_cycle_property,
-    enumerate_good_sets,
     find_good_set,
     is_good_set,
     rotation_closure,

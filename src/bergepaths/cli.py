@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from .goodsets import enumerate_good_sets, find_good_set, rotation_closure
+from .goodsets import find_good_set, rotation_closure
 from .hypergraph import bits, load_hypergraph
 from .search import BergePath, SearchError, longest_berge_path, p_edge, render_path
 from .verify import CHECK_NAMES, SweepConfig, report_write, run_sweep
@@ -79,24 +79,13 @@ def cmd_longest(args) -> int:
     return 0
 
 
-def _print_certificate(cert) -> None:
+def cmd_goodset(args) -> int:
+    cert = find_good_set(load_hypergraph(args.file))
     print(
         f"good set S={_vertex_list(cert.S)} |S|={cert.size} k={cert.k}"
         f" |N(S)|={len(cert.NS)} <= f_r(k)|S|={format_fraction(cert.bound)}"
     )
     print(f"  N(S) = edges {list(cert.NS)}")
-
-
-def cmd_goodset(args) -> int:
-    hg = load_hypergraph(args.file)
-    if args.all:
-        count = 0
-        for cert in enumerate_good_sets(hg):
-            _print_certificate(cert)
-            count += 1
-        print(f"{count} good sets")
-        return 0
-    _print_certificate(find_good_set(hg))
     return 0
 
 
@@ -206,9 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_longest)
 
-    p = sub.add_parser("goodset", help="one good-set certificate, or all with --all")
+    p = sub.add_parser("goodset", help="one good-set certificate, found from a longest path")
     p.add_argument("file")
-    p.add_argument("--all", action="store_true")
     p.set_defaults(fn=cmd_goodset)
 
     p = sub.add_parser("rotate", help="rotation closure of a path literal")

@@ -6,8 +6,8 @@ maximum-length Berge path (p(e) = k for all e in N(S)) and
 go through: deleting one costs at most |S| of the bound. The sweeps
 certify three structural claims through ``check_*`` functions, each
 returning the detail of a violation or None. They find a good set as
-the paper does, from a longest path: V(H), or a rotation terminal set.
-The 2^n subset scan serves only ``hg goodset --all``.
+the paper does, from a longest path: V(H), or a rotation terminal set;
+no code scans the 2^n vertex subsets.
 
 The rotation closure realizes the constructive core of the terminal-set
 argument: starting from a path P with a pinned terminal v0, repeatedly
@@ -54,8 +54,6 @@ from .search import (
     find_berge_cycle,
 )
 from .weights import _f_parts
-
-MAX_SCAN_VERTICES = 20  # a subset scan visits all 2^n vertex sets
 
 
 class GoodSetError(ValueError):
@@ -106,42 +104,8 @@ def is_good_set(hg: Hypergraph | Analysis, vertex_set: int) -> GoodSetCertificat
     num, den = _f_parts(a.r, k)
     if ns.bit_count() * den > num * vertex_set.bit_count():
         return None
-    return _certificate(a, vertex_set, ns, num, den)
-
-
-def _certificate(a: Analysis, s: int, ns: int, num: int, den: int) -> GoodSetCertificate:
-    bound = Fraction(num * s.bit_count(), den)
-    return GoodSetCertificate(S=s, k=a.k, NS=a.ranks(bits(ns)), bound=bound)
-
-
-def enumerate_good_sets(hg: Hypergraph | Analysis) -> Iterator[GoodSetCertificate]:
-    """All good sets in increasing bitmask order by full subset scan.
-
-    Refuses n > MAX_SCAN_VERTICES, then r < 3, then no edges, at the call;
-    the scan itself is lazy. It reads N(S) = hi[S >> h] | lo[S & low mask]
-    from two tables, the edges at each subset of the low h = n // 2
-    vertices and of the high n - h, and keeps a set that passes both tests
-    of ``is_good_set``: no edge of N(S) has p < k, and |N(S)| <= f_r(k) |S|.
-    """
-    a = analyze(hg)
-    if a.n > MAX_SCAN_VERTICES:
-        raise GoodSetError(f"subset scan over 2^{a.n} sets refused (n > {MAX_SCAN_VERTICES})")
-    _check_domain(a)
-
-    def scan() -> Iterator[GoodSetCertificate]:
-        h, below_k = a.n // 2, ~a.max_p_mask
-        lo, hi = [0], [0]
-        for v, inc in enumerate(a.incidence):
-            table = lo if v < h else hi
-            table += [t | inc for t in table]
-        low = (1 << h) - 1
-        num, den = _f_parts(a.r, a.k)
-        for s in range(1, 1 << a.n):
-            ns = hi[s >> h] | lo[s & low]
-            if not ns & below_k and ns.bit_count() * den <= num * s.bit_count():
-                yield _certificate(a, s, ns, num, den)
-
-    return scan()
+    bound = Fraction(num * vertex_set.bit_count(), den)
+    return GoodSetCertificate(S=vertex_set, k=k, NS=a.ranks(bits(ns)), bound=bound)
 
 
 @dataclass(frozen=True)

@@ -201,13 +201,6 @@ def is_connected(hg: Hypergraph) -> bool:
     return len(component_masks(hg)) <= 1
 
 
-def complete_hypergraph(n: int, r: int) -> Hypergraph:
-    """All C(n, r) possible edges."""
-    if n < r:
-        raise HypergraphError(f"complete hypergraph needs n >= r, got n={n}, r={r}")
-    return Hypergraph(n, r, possible_edges(n, r))
-
-
 def possible_edges(n: int, r: int) -> tuple[int, ...]:
     """All r-subset bitmasks on n vertices in increasing order; n is checked first."""
     if not 0 <= n <= MAX_VERTICES:

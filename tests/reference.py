@@ -1,23 +1,38 @@
-"""Brute-force longest-path oracle for cross-validating the main search.
+"""Slow references that the tests compare the package against.
 
-Enumerates every ordered sequence of distinct edges and every compatible
-vertex assignment, with no bounding and no code shared with the
-backtracking engine in :mod:`bergepaths.search`. Factorial in the edge
-count, so instances are capped at 8 edges.
+The longest-path oracle enumerates every ordered sequence of distinct
+edges and every compatible vertex assignment, with no bounding and no
+code shared with the backtracking engine in :mod:`bergepaths.search`.
+It is factorial in the edge count, so instances are capped at 8 edges.
+``reference_good_sets`` scans every vertex subset with one
+``is_good_set`` call each.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from typing import Iterator
 
-from .hypergraph import Hypergraph, bits
-from .search import PathQuery, SearchError
+from bergepaths.goodsets import GoodSetCertificate, is_good_set
+from bergepaths.hypergraph import Hypergraph, HypergraphError, bits, possible_edges
 
 ORACLE_MAX_EDGES = 8
 
 
 class OracleError(ValueError):
     pass
+
+
+def complete(n: int, r: int) -> Hypergraph:
+    """K_n^r: all C(n, r) possible edges."""
+    if n < r:
+        raise HypergraphError(f"complete hypergraph needs n >= r, got n={n}, r={r}")
+    return Hypergraph(n, r, possible_edges(n, r))
+
+
+def reference_good_sets(a) -> Iterator[GoodSetCertificate]:
+    """Every good set in increasing bitmask order, lazily, one ``is_good_set`` call per subset."""
+    return (c for c in (is_good_set(a, s) for s in range(1, 1 << a.hg.n)) if c is not None)
 
 
 def _assignable(edge_verts, seq, v0_fixed, vk_fixed) -> bool:
@@ -46,24 +61,23 @@ def _assignable(edge_verts, seq, v0_fixed, vk_fixed) -> bool:
     return place(0, ())
 
 
-def oracle_longest_path(hg: Hypergraph, query: PathQuery | None = None) -> int:
-    """Maximum Berge path length satisfying ``query``, by full enumeration.
+def oracle_longest_path(hg: Hypergraph, required_edge: int | None = None) -> int:
+    """Maximum Berge path length, through ``required_edge`` if given, by
+    full enumeration.
 
     Returns 0 when no qualifying path with an edge exists; with a required
     edge, that edge's p(e).
     """
-    if query is None:
-        query = PathQuery()
     m = hg.num_edges
-    if query.required_edge is not None and not 0 <= query.required_edge < m:
-        raise SearchError(f"edge index {query.required_edge} out of range")
+    if required_edge is not None and not 0 <= required_edge < m:
+        raise OracleError(f"edge index {required_edge} out of range")
     if m > ORACLE_MAX_EDGES:
         raise OracleError(f"{m} edges exceed the oracle cap of {ORACLE_MAX_EDGES}")
     edge_verts = [tuple(bits(e)) for e in hg.edges]
     hi = min(m, hg.n - 1) if hg.n else 0
     for length in range(hi, 0, -1):
         for seq in permutations(range(m), length):
-            if query.required_edge is not None and query.required_edge not in seq:
+            if required_edge is not None and required_edge not in seq:
                 continue
             if _assignable(edge_verts, seq, None, None):
                 return length

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from bergepaths.hypergraph import Hypergraph, possible_edges
-from bergepaths.oracle import oracle_length_table
 from bergepaths.search import analyze, longest_path_length
 from bergepaths.verify import (
     SweepConfig,
@@ -26,6 +25,7 @@ from bergepaths.verify import (
     run_sweep,
 )
 from bergepaths.weights import gap_check, turan_exact
+from reference import oracle_length_table
 
 GOLDEN = Path(__file__).parent / "golden"
 

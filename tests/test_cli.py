@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -11,19 +12,12 @@ from pathlib import Path
 
 import pytest
 
+import bergepaths
 from bergepaths import cli, hypergraph, weights
 from bergepaths.cli import main
-from bergepaths.goodsets import GoodSetError, is_good_set
-from bergepaths.hypergraph import (
-    HypergraphError,
-    complete_hypergraph,
-    from_edge_lists,
-    mask_of,
-    serialize_hypergraph,
-)
-from bergepaths.oracle import OracleError
-from bergepaths.search import SearchError
-from bergepaths.verify import SweepConfigError
+from bergepaths.goodsets import is_good_set
+from bergepaths.hypergraph import from_edge_lists, mask_of, serialize_hypergraph
+from reference import complete
 
 
 @pytest.fixture
@@ -36,7 +30,7 @@ def chain_file(tmp_path):
 @pytest.fixture
 def k53_file(tmp_path):
     path = tmp_path / "k53.hg"
-    path.write_text(serialize_hypergraph(complete_hypergraph(5, 3)))
+    path.write_text(serialize_hypergraph(complete(5, 3)))
     return str(path)
 
 
@@ -67,7 +61,7 @@ def test_longest_and_p_edge(chain_file, capsys):
 def test_longest_and_goodset_on_k73(tmp_path, capsys):
     # too many longest paths to walk them all; a permutation brute force gives the same witness
     path = tmp_path / "k73.hg"
-    path.write_text(serialize_hypergraph(complete_hypergraph(7, 3)))
+    path.write_text(serialize_hypergraph(complete(7, 3)))
     assert main(["longest", str(path)]) == 0
     out = capsys.readouterr().out
     assert "k = 6" in out and "v0 -e0- v1 -e3- v2 -e2- v3 -e7- v4 -e16- v5 -e30- v6" in out
@@ -78,8 +72,13 @@ def test_longest_and_goodset_on_k73(tmp_path, capsys):
 def test_goodset_single_and_all(k53_file, capsys):
     assert main(["goodset", k53_file]) == 0
     assert "S={0,1,2,3,4}" in capsys.readouterr().out
-    assert main(["goodset", k53_file, "--all"]) == 0
-    assert "good sets" in capsys.readouterr().out
+    # no command enumerates every good set, so --all is not an option
+    with pytest.raises(SystemExit) as exit_:
+        main(["goodset", k53_file, "--all"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --all" in captured.err
 
 
 def test_rotate(chain_file, capsys):
@@ -265,20 +264,10 @@ def test_goodset_answers_a_15_vertex_5_uniform_input_at_once(tmp_path):
     assert is_good_set(h, mask_of(map(int, printed.split(",")))) is not None
 
 
-def test_goodset_all_refuses_a_21_vertex_scan(tmp_path, capsys):
-    # the scan's refusal, kept where the scan still runs
-    path = tmp_path / "wide.hg"
-    path.write_text("21 3\n0 1 2\n")
-    assert main(["goodset", str(path), "--all"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: subset scan over 2^21 sets refused (n > 20)\n"
-
-
 def test_goodset_answers_a_good_vertex_set_past_the_scan_limit(tmp_path, capsys):
     # a loose 2-edge chain on 21 vertices: both edges have p = k = 2 and
     # m = 2 <= f_11(2) * 21 = 7/2, so V(H) is good, yet no rotation terminal
-    # set is; V(H) answers, while the scan is refused past 20 vertices
+    # set is; V(H) answers
     path = tmp_path / "chain21.hg"
     edges = [" ".join(map(str, e)) for e in (range(11), range(10, 21))]
     path.write_text("21 11\n" + "\n".join(edges) + "\n")
@@ -289,10 +278,6 @@ def test_goodset_answers_a_good_vertex_set_past_the_scan_limit(tmp_path, capsys)
         "good set S={" + ",".join(map(str, range(21))) + "} |S|=21 k=2 |N(S)|=2"
         " <= f_r(k)|S|=7/2\n  N(S) = edges [0, 1]\n"
     )
-    assert main(["goodset", str(path), "--all"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: subset scan over 2^21 sets refused (n > 20)\n"
 
 
 def test_missing_file_reports_error(capsys):
@@ -307,7 +292,17 @@ def test_bad_path_literal(chain_file, capsys):
 
 def test_every_package_error_is_caught_by_hg():
     # main catches (ValueError, OSError); a new error class must stay inside it
-    for error in (HypergraphError, SearchError, GoodSetError, SweepConfigError, OracleError):
+    errors = {
+        value
+        for module in pkgutil.iter_modules(bergepaths.__path__, "bergepaths.")
+        for value in vars(importlib.import_module(module.name)).values()
+        if isinstance(value, type)
+        and issubclass(value, BaseException)
+        and value.__module__ == module.name
+    }
+    names = {error.__name__ for error in errors}
+    assert names >= {"HypergraphError", "SearchError", "GoodSetError", "SweepConfigError"}, names
+    for error in errors:
         assert issubclass(error, ValueError), error
 
 

@@ -13,15 +13,8 @@ from bergepaths.goodsets import _close, check_rotation_bound, rotation_closure
 from bergepaths.hypergraph import (
     Hypergraph,
     bits,
-    complete_hypergraph,
     hypergraph_from_subset,
     possible_edges,
-)
-from bergepaths.oracle import (
-    ORACLE_MAX_EDGES,
-    _assignable,
-    oracle_length_table,
-    oracle_longest_path,
 )
 from bergepaths.search import (
     BergePath,
@@ -39,6 +32,15 @@ from bergepaths.search import (
 )
 from bergepaths.verify import SweepConfig, _check_instance, instances
 from bergepaths.weights import turan_exact
+from reference import (
+    ORACLE_MAX_EDGES,
+    OracleError,
+    _assignable,
+    complete,
+    oracle_length_table,
+    oracle_longest_path,
+    reference_good_sets,
+)
 
 
 def every_instance(n, r):
@@ -242,15 +244,18 @@ def test_anchored_queries_match_oracle_exhaustively():
     for hg in every_instance(4, 3):
         for i in range(hg.num_edges):
             q = PathQuery(required_edge=i)
-            assert p_edge(hg, i) == longest_path_length(hg, q) == oracle_longest_path(hg, q), hg
+            oracle = oracle_longest_path(hg, q.required_edge)
+            assert p_edge(hg, i) == longest_path_length(hg, q) == oracle, hg
 
 
 def test_oracle_and_search_refuse_the_same_out_of_range_edge():
-    hg = complete_hypergraph(4, 3)
+    hg = complete(4, 3)
     for edge in (-1, hg.num_edges):
-        for longest in (longest_path_length, oracle_longest_path):
-            with pytest.raises(SearchError, match=f"edge index {edge} out of range"):
-                longest(hg, PathQuery(required_edge=edge))
+        message = f"^edge index {edge} out of range$"
+        with pytest.raises(SearchError, match=message):
+            longest_path_length(hg, PathQuery(required_edge=edge))
+        with pytest.raises(OracleError, match=message):
+            oracle_longest_path(hg, edge)
 
 
 def test_fixed_endpoint_paths_match_brute_force():
@@ -676,7 +681,7 @@ def test_weight_sum_matches_the_sum_over_the_oracle_p_table():
 def reference_check_instance(a, checks):
     """``verify._check_instance`` in its earlier form, kept as a slow
     reference: the sum and its equality read from a whole ``weight_report``,
-    the good set from the first certificate of ``enumerate_good_sets``."""
+    the good set from the first certificate of ``reference_good_sets``."""
     hg = a.hg
     failures = []
     connected = a.connected
@@ -700,7 +705,7 @@ def reference_check_instance(a, checks):
         cls = weights.classify_structure(a)
 
     if "good_set_existence" in checks and connected and hg.num_edges:
-        first = next(goodsets.enumerate_good_sets(a), None)
+        first = next(reference_good_sets(a), None)
         if first is None:
             failures.append(("good_set_existence", "no good set exists"))
         else:

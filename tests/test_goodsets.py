@@ -9,14 +9,12 @@ from bergepaths.goodsets import (
     check_good_set_existence,
     check_rotation_bound,
     check_spanning_cycle_property,
-    enumerate_good_sets,
     find_good_set,
     is_good_set,
     rotation_closure,
 )
 from bergepaths.hypergraph import (
     Hypergraph,
-    complete_hypergraph,
     from_edge_lists,
     induced,
     mask_of,
@@ -33,6 +31,7 @@ from bergepaths.search import (
 )
 from bergepaths.verify import SweepConfig, _check_instance, instances
 from bergepaths.weights import f_r, weight_sum
+from reference import complete, reference_good_sets
 
 
 def hg(n, r, *edges):
@@ -49,8 +48,8 @@ def walked_longest_paths(h):
 
 SINGLE = hg(3, 3, [0, 1, 2])
 CHAIN2 = hg(5, 3, [0, 1, 2], [2, 3, 4])
-K43 = complete_hypergraph(4, 3)
-K53 = complete_hypergraph(5, 3)
+K43 = complete(4, 3)
+K53 = complete(5, 3)
 CHAIN5 = hg(11, 3, *([2 * i, 2 * i + 1, 2 * i + 2] for i in range(5)))  # k = 5 > r
 # k = 6 and n = k + 1, but p({0, 1, 4}) = 5, so V(H) is not good
 SHORT_EDGE = hg(7, 3, [0, 1, 2], [0, 1, 4], [1, 2, 4], [1, 3, 4], [0, 1, 5], [0, 1, 6], [0, 4, 6])
@@ -84,27 +83,6 @@ class TestIsGoodSet:
         h = hg(4, 3, [0, 1, 2])
         cert = is_good_set(h, mask_of([3]))
         assert cert is not None and cert.NS == ()
-
-
-class TestEnumerate:
-    def test_single_edge(self):
-        assert [c.S for c in enumerate_good_sets(SINGLE)] == [0b111]
-
-    def test_complete_k43_includes_v(self):
-        assert any(c.S == 0b1111 for c in enumerate_good_sets(K43))
-
-    def test_disconnected_pair_of_edges(self):
-        h = hg(6, 3, [0, 1, 2], [3, 4, 5])
-        ss = [c.S for c in enumerate_good_sets(h)]
-        assert mask_of([0, 1, 2]) in ss and mask_of([3, 4, 5]) in ss
-
-    def test_increasing_bitmask_order(self):
-        ss = [c.S for c in enumerate_good_sets(K43)]
-        assert ss == sorted(ss)
-
-    def test_scan_refused_past_20_vertices(self):
-        with pytest.raises(GoodSetError):
-            enumerate_good_sets(hg(21, 3, [0, 1, 2]))
 
 
 class TestRotationClosure:
@@ -178,7 +156,7 @@ def test_good_set_existence_and_patterns_exhaustive(n):
     r = 3
     for a in instances(SweepConfig(n=n, r=r, mode="exhaustive", connected_only=True)):
         h = a.hg
-        certs = list(enumerate_good_sets(h))
+        certs = list(reference_good_sets(a))
         assert certs, h
         k = longest_path_length(h)
         if 1 < k <= r:
@@ -215,66 +193,26 @@ def test_integer_size_test_agrees_with_the_fraction_bound():
     assert tight > 0
 
 
-def reference_good_sets(a):
-    """The scan as one ``is_good_set`` call per subset, in increasing bitmask order."""
-    return [c for c in (is_good_set(a, s) for s in range(1, 1 << a.hg.n)) if c is not None]
-
-
-def test_table_scan_matches_the_per_subset_reference():
-    # every (4,3), (5,3) and (5,4) instance with an edge, 300 (6,3) samples,
-    # every disjoint union of two (4,3) instances (many with an edge of
-    # p < k), and odd n, where the two tables have unequal widths
-    cases = [
-        a
-        for n, r in ((4, 3), (5, 3), (5, 4))
-        for a in instances(SweepConfig(n=n, r=r, mode="exhaustive"))
-    ]
-    cases += instances(SweepConfig(n=6, r=3, mode="sample", sample_count=300, seed=9))
-    k43s = [a.hg.edges for a in instances(SweepConfig(n=4, r=3, mode="exhaustive"))]
-    cases += [Hypergraph(8, 3, low + tuple(e << 4 for e in high)) for low in k43s for high in k43s]
-    k43_and_chain = hg(9, 3, [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [4, 5, 6], [6, 7, 8])
-    cases += [k43_and_chain, CHAIN5]
-    short = 0
-    for case in cases:
-        a = analyze(case)
-        if a.hg.num_edges:
-            assert list(enumerate_good_sets(a)) == reference_good_sets(a), a.hg
-            short += a.max_p_mask != a.present
-    assert short > 50
-
-
 def test_scan_preconditions_raise_at_the_call():
-    # the entry points share the r >= 3 check, then the edge check; the
-    # scan's n > 20 refusal comes before both
+    # the entry points share the r >= 3 check, then the edge check
     cases = [
         (hg(4, 2, [0, 1]), "good sets need r >= 3, got r=2"),
         (Hypergraph(4, 2, ()), "good sets need r >= 3, got r=2"),
         (Hypergraph(4, 3, ()), "good sets are undefined on edgeless hypergraphs"),
     ]
     for bad, message in cases:
-        for call in (
-            enumerate_good_sets,
-            find_good_set,
-            check_good_set_existence,
-            lambda h: is_good_set(h, 1),
-        ):
+        for call in (find_good_set, check_good_set_existence, lambda h: is_good_set(h, 1)):
             with pytest.raises(GoodSetError) as err:
                 call(bad)
             assert str(err.value) == message
-    with pytest.raises(GoodSetError, match=r"subset scan over 2\^21 sets refused"):
-        enumerate_good_sets(Hypergraph(21, 2, ()))
 
 
 def test_find_good_set_route_census(monkeypatch):
-    """``find_good_set`` never scans, returns a set that ``is_good_set``
-    accepts, and falls back to V(H) only where the longest path uses all
-    m = k <= r edges. The (cycle, rotation, V(H)) route counts over every
+    """``find_good_set`` returns a set that ``is_good_set`` accepts, and
+    falls back to V(H) only where the longest path uses all m = k <= r
+    edges. The (cycle, rotation, V(H)) route counts over every
     connected (4,3), (5,3), (5,4) and (6,4) instance with an edge are
     pinned; the (6,4) ones are ROADMAP item 2's table."""
-
-    def no_scan(a):
-        raise AssertionError("the subset scan ran")
-
     terminal_sets = goodsets._good_terminal_sets
     firsts = []
 
@@ -284,7 +222,6 @@ def test_find_good_set_route_census(monkeypatch):
             firsts[-1] = cert
             yield cert
 
-    monkeypatch.setattr(goodsets, "enumerate_good_sets", no_scan)
     monkeypatch.setattr(goodsets, "_good_terminal_sets", spy)
     census = {}
     for n, r in ((4, 3), (5, 3), (5, 4), (6, 4)):
@@ -335,7 +272,7 @@ def old_good_set_existence(a):
     """``check_good_set_existence`` as it read before its V(H) shortcut and
     the rotation route: both conditions applied to the first set of the
     subset scan."""
-    first = next(enumerate_good_sets(a), None)
+    first = next(reference_good_sets(a), None)
     if first is None:
         return "no good set exists"
     n, r, k = a.hg.n, a.hg.r, a.k
@@ -364,16 +301,13 @@ def test_good_vertex_set_shortcut_gives_the_scan_answer():
     assert len(cases) > 20_000 and whole > 10_000
 
 
-def test_good_set_existence_runs_the_route_and_never_scans(monkeypatch):
-    """With the subset scan patched to raise, the check still answers every
-    connected (5,3) instance with an edge, the 300 seed-9 (6,3) samples,
-    ``SHORT_EDGE`` and ``CHAIN5``. The route's sets are the distinct good
-    terminal sets of the closures in walk order, and no terminal set holds
-    its path's first vertex, so none is V(H): checked wherever V(H) does
-    not answer, and on every connected (4,3) and (5,4) instance."""
-
-    def no_scan(a):
-        raise AssertionError("the subset scan ran")
+def test_good_set_existence_runs_the_route_and_never_scans():
+    """The check answers every connected (5,3) instance with an edge, the
+    300 seed-9 (6,3) samples, ``SHORT_EDGE`` and ``CHAIN5``. The route's
+    sets are the distinct good terminal sets of the closures in walk
+    order, and no terminal set holds its path's first vertex, so none is
+    V(H): checked wherever V(H) does not answer, and on every connected
+    (4,3) and (5,4) instance."""
 
     def connected(n, r, **sample):
         mode = "sample" if sample else "exhaustive"
@@ -382,7 +316,6 @@ def test_good_set_existence_runs_the_route_and_never_scans(monkeypatch):
 
     cases = connected(5, 3) + connected(6, 3, sample_count=300, seed=9)
     cases += [analyze(SHORT_EDGE), analyze(CHAIN5)]
-    monkeypatch.setattr(goodsets, "enumerate_good_sets", no_scan)
     routed = []
     for a in cases:
         assert check_good_set_existence(a) is None, a.hg

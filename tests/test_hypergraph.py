@@ -7,7 +7,6 @@ from bergepaths.hypergraph import (
     Hypergraph,
     HypergraphError,
     bits,
-    complete_hypergraph,
     component_masks,
     from_edge_lists,
     from_masks,
@@ -21,6 +20,7 @@ from bergepaths.hypergraph import (
 from bergepaths.search import Analysis
 from bergepaths.verify import SweepConfig, instances
 from bergepaths.weights import CASE_I, CASE_II, NOT_EXTREMAL, classify_structure
+from reference import complete
 
 
 def hg(n, r, *edges):
@@ -131,11 +131,11 @@ class TestComponents:
 class TestConstructions:
     @pytest.mark.parametrize("n,r,count", [(4, 3, 4), (5, 3, 10), (3, 3, 1)])
     def test_complete_edge_counts(self, n, r, count):
-        assert complete_hypergraph(n, r).num_edges == count
+        assert complete(n, r).num_edges == count
 
     def test_complete_requires_n_ge_r(self):
         with pytest.raises(HypergraphError):
-            complete_hypergraph(2, 3)
+            complete(2, 3)
 
     def test_slots_refused_past_64_vertices(self):
         # C(65, 3) slots would fit; the vertex cap is what refuses them

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from bergepaths.hypergraph import (
     Hypergraph,
     bits,
-    complete_hypergraph,
     from_edge_lists,
     induced,
     is_connected,
@@ -14,7 +13,6 @@ from bergepaths.hypergraph import (
     possible_edges,
 )
 from bergepaths import search as search_module
-from bergepaths.oracle import OracleError, oracle_length_table, oracle_longest_path
 from bergepaths.search import (
     Analysis,
     BergeCycle,
@@ -33,6 +31,7 @@ from bergepaths.search import (
 )
 from bergepaths.verify import SweepConfig, instances
 from bergepaths.weights import classify_structure
+from reference import OracleError, complete, oracle_length_table, oracle_longest_path
 
 
 def hg(n, r, *edges):
@@ -42,8 +41,8 @@ def hg(n, r, *edges):
 SINGLE = hg(3, 3, [0, 1, 2])
 CHAIN2 = hg(5, 3, [0, 1, 2], [2, 3, 4])
 CHAIN3 = hg(7, 3, [0, 1, 2], [2, 3, 4], [4, 5, 6])
-K43 = complete_hypergraph(4, 3)
-K53 = complete_hypergraph(5, 3)
+K43 = complete(4, 3)
+K53 = complete(5, 3)
 
 
 def walked_paths(h, length):
@@ -239,13 +238,13 @@ class TestOracle:
         assert oracle_longest_path(SINGLE) == 1
 
     def test_k43_required_edge(self):
-        assert oracle_longest_path(K43, PathQuery(required_edge=0)) == 3
+        assert oracle_longest_path(K43, required_edge=0) == 3
 
     def test_chain_of_three(self):
         assert oracle_longest_path(CHAIN3) == 3
 
     def test_cap(self):
-        h = complete_hypergraph(5, 3)  # 10 edges
+        h = complete(5, 3)  # 10 edges
         with pytest.raises(OracleError):
             oracle_longest_path(h)
 
@@ -254,7 +253,7 @@ class TestOracle:
             k, pvals = oracle_length_table(h)
             assert k == oracle_longest_path(h)
             for i in range(h.num_edges):
-                assert pvals[i] == oracle_longest_path(h, PathQuery(required_edge=i))
+                assert pvals[i] == oracle_longest_path(h, required_edge=i)
 
 
 def small_searchable(max_n=5, max_edges=4):
@@ -276,7 +275,7 @@ def small_searchable(max_n=5, max_edges=4):
 def test_oracle_equivalence_random(h):
     assert longest_path_length(h) == oracle_longest_path(h)
     for i in range(h.num_edges):
-        assert p_edge(h, i) == oracle_longest_path(h, PathQuery(required_edge=i))
+        assert p_edge(h, i) == oracle_longest_path(h, required_edge=i)
 
 
 @given(small_searchable())
@@ -297,7 +296,8 @@ def test_oracle_equivalence_combined_constraints(h, data):
     if h.num_edges == 0 or h.n == 0:
         return
     q = PathQuery(required_edge=data.draw(st.integers(min_value=0, max_value=h.num_edges - 1)))
-    assert longest_path_length(h, q) == p_edge(h, q.required_edge) == oracle_longest_path(h, q)
+    edge = q.required_edge
+    assert longest_path_length(h, q) == p_edge(h, edge) == oracle_longest_path(h, edge)
 
 
 @given(small_searchable(), st.integers(min_value=0))
@@ -381,7 +381,7 @@ def test_p_table_cover_paths_are_longest_paths_through_the_searched_edge(monkeyp
 
 
 def test_p_table_on_k63_skips_the_edges_of_found_longest_paths(monkeypatch):
-    a = Analysis(complete_hypergraph(6, 3))
+    a = Analysis(complete(6, 3))
     calls = []
     longest = search_module._max_len
 

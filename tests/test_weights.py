@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from bergepaths.hypergraph import (
     Hypergraph,
-    complete_hypergraph,
     component_masks,
     from_edge_lists,
     induced,
@@ -26,6 +25,7 @@ from bergepaths.weights import (
     turan_exact,
     weight_report,
 )
+from reference import complete
 
 
 class TestFr:
@@ -61,7 +61,7 @@ class TestFr:
 
 class TestWeightReport:
     def test_complete_k53_is_equality(self):
-        rep = weight_report(complete_hypergraph(5, 3))
+        rep = weight_report(complete(5, 3))
         assert rep.total == 5 and rep.is_equality
         assert rep.classification == CASE_II
         assert all(w.p == 4 and w.inv_f == Fraction(1, 2) for w in rep.per_edge)
