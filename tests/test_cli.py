@@ -326,6 +326,13 @@ def test_turan_table_refuses_a_cell_with_exit_2(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("r, nmax", [(3, 6), (4, 6), (5, 7)])
+def test_turan_table_matches_its_golden_file(r, nmax, capsys):
+    assert load_script("turan_table").main(["--r", str(r), "--nmax", str(nmax), "--kmax", "6"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"turan_table_r{r}.txt"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_bench_pairs_removes_its_export_when_terminated(tmp_path):
     # the parent's export appears under TMPDIR; SIGTERM once its benchmark runs
     root = Path(__file__).resolve().parent.parent

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,24 @@ from bergepaths.weights import classify_structure, weight_sum
 
 def built(cfg, *span):
     return [a.hg for a in instances(cfg, *span)]
+
+
+def test_importing_the_package_leaves_the_process_pool_unloaded():
+    """Only a sweep on two or more workers imports the process pool, so a
+    fresh interpreter that imports the package and its five layers has not
+    loaded concurrent.futures: its ProcessPoolExecutor costs about 2 MiB
+    of resident memory in every process that loads it."""
+    code = (
+        "import sys, bergepaths\n"
+        "from bergepaths import goodsets, hypergraph, search, verify, weights\n"
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-c", code]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestConfig:
