@@ -44,7 +44,6 @@ from .goodsets import (
 from .verify import (
     SweepConfig,
     SweepReport,
-    coro_path_check,
     report_write,
     run_sweep,
 )

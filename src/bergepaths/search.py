@@ -12,7 +12,7 @@ an edge index is a slot index, so a sweep instance is a mask over one pool
 of all C(n, r) slots. ``Analysis(hg)`` is the pool of ``hg``'s own edges,
 all present, where a slot index is the rank index, the edge index of
 ``hg``. Results leave in rank order (``Analysis.ranks``), an index passed
-in is mapped to its slot (``_slot``), and the validators read slots.
+in is mapped to its slot (``_slot``), and the public validators read ranks.
 
 Three depth-first searches do all the work. ``_max_len`` maximizes over
 (endpoint, used-vertex mask, used-edge mask) states for k, the p-table
@@ -77,7 +77,14 @@ class PathQuery:
 
 
 def validate_path(hg: Hypergraph | Analysis, path: BergePath) -> None:
-    _validate_seq(analyze(hg), path.vertices, path.edges)
+    """Refuse ``path`` unless it is a Berge path of ``hg``, its edges by rank."""
+    _validate_seq(_by_rank(hg), path.vertices, path.edges)
+
+
+def _by_rank(hg: Hypergraph | Analysis) -> Analysis:
+    """``hg`` as an Analysis whose slot indices are its rank indices."""
+    a = analyze(hg)
+    return Analysis(a.hg) if a.present & (a.present + 1) else a
 
 
 def _validate_seq(a: Analysis, vs, es) -> tuple[int, int]:
@@ -119,11 +126,14 @@ def _validate_seq(a: Analysis, vs, es) -> tuple[int, int]:
 
 
 def validate_cycle(hg: Hypergraph | Analysis, cycle: BergeCycle) -> None:
+    """Refuse ``cycle`` unless it is a Berge cycle of ``hg``, its edges by rank."""
+    _validate_cycle(_by_rank(hg), cycle.vertices, cycle.edges)
+
+
+def _validate_cycle(a: Analysis, vs, es) -> None:
     """The open path v0 ... v(k-1), then its closing edge, by ``_validate_seq``."""
-    vs, es = cycle.vertices, cycle.edges
     if len(vs) != len(es) or len(vs) < 2:
         raise SearchError(f"cycle needs k >= 2 vertices and k edges, got {len(vs)}/{len(es)}")
-    a = analyze(hg)
     _validate_seq(a, vs, es[:-1])
     _validate_seq(a, (vs[-1], vs[0]), es[-1:])
     if es[-1] in es[:-1]:
@@ -505,6 +515,6 @@ def find_berge_cycle(hg: Hypergraph | Analysis, length: int) -> BergeCycle | Non
     if best is None:
         return None
     if __debug__:
-        validate_cycle(a, BergeCycle(*best))
+        _validate_cycle(a, *best)
     return BergeCycle(best[0], a.ranks(best[1]))
 

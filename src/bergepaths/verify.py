@@ -12,15 +12,14 @@ subsets and reproducible without any sampler state. Each call builds and
 validates one pool of the C(n, r) slots, so each worker block has its own,
 and yields an ``Analysis`` of the pool and the subset mask: the checks
 build no Hypergraph but a violation's, and a detail names edges in rank
-order. The (r+1)-vertex path claim has one body, ``_coro_path``, read by
-the ``coro_path`` sweep check and by ``coro_path_check``.
+order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator
@@ -149,16 +148,16 @@ def _check_instance(a: Analysis, checks: frozenset[str]) -> tuple[str, list[tupl
                 failures.append((name, detail))
 
     if "coro_path" in checks:
-        starts, pairs, _ = _coro_path(a)
-        failures.extend(("coro_path", detail) for _, detail in starts)
-        failures.extend(("coro_path", f"no length-{m} path joins v{u} and v{w}") for u, w in pairs)
+        failures.extend(("coro_path", detail) for detail in _coro_path(a))
 
     return cls, failures
 
 
-def _coro_path(a: Analysis) -> tuple[list[tuple[int, str]], list[tuple[int, int]], list[int]]:
-    """Start failures (v, detail), pair failures (u, w) and uncovered single-edge
-    starts v of the ``CoroPathReport`` claim; all empty unless n = r+1, 1 <= |E| < r.
+def _coro_path(a: Analysis) -> list[str]:
+    """Failures, by vertex, of the (r+1)-vertex path claim: a length-|E| path
+    starts at every vertex in an edge (the vertex off a single edge, which
+    the claim read literally includes, is left to the tests) and, for r >= 4
+    and |E| >= 2, joins every two. None unless n = r+1 and 1 <= |E| < r.
 
     One walk per vertex v collects the far ends of the length-|E| paths
     from v. A path reversed is a path, so u and w > u are joined when w
@@ -166,9 +165,9 @@ def _coro_path(a: Analysis) -> tuple[list[tuple[int, str]], list[tuple[int, int]
     every vertex above v, or after its first path when no pair is checked.
     """
     n, r, m = a.n, a.r, a.m
-    starts, pairs, uncovered = [], [], []
+    failures = []
     if n != r + 1 or not 1 <= m < r:
-        return starts, pairs, uncovered
+        return failures
     check_pairs = r >= 4 and m >= 2
     for v in range(n):
         above = (1 << n) - (2 << v) if check_pairs else 0
@@ -180,11 +179,9 @@ def _coro_path(a: Analysis) -> tuple[list[tuple[int, str]], list[tuple[int, int]
         expected = m >= 2 or a.incidence[v] != 0
         got = ends != 0
         if got != expected:
-            starts.append((v, f"length-{m} path starting at v{v}: expected {expected}, got {got}"))
-        elif not expected:
-            uncovered.append(v)
-        pairs.extend((v, w) for w in bits(above & ~ends))
-    return starts, pairs, uncovered
+            failures.append(f"length-{m} path starting at v{v}: expected {expected}, got {got}")
+        failures.extend(f"no length-{m} path joins v{v} and v{w}" for w in bits(above & ~ends))
+    return failures
 
 
 def index_count(cfg: SweepConfig) -> int:
@@ -290,44 +287,3 @@ def report_write(report: SweepReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(data)
 
-
-@dataclass
-class CoroPathReport:
-    """Length-|E| reachability on (r+1)-vertex hypergraphs with under r edges.
-
-    ``start_failures`` are failures of the coverage-corrected claim (a
-    length-|E| path starts at every vertex, except that with a single
-    edge only its own vertices qualify). ``e1_discrepancy`` lists the
-    single-edge cases where the claim read literally fails because the
-    start vertex lies outside the edge; it is reported, never hidden.
-    ``pair_failures`` covers the stronger two-terminal form checked for
-    r >= 4 and |E| >= 2.
-    """
-
-    r: int
-    instances: int = 0
-    start_failures: list[dict] = field(default_factory=list)
-    e1_discrepancy: list[dict] = field(default_factory=list)
-    pair_failures: list[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.start_failures and not self.pair_failures
-
-
-def coro_path_check(r: int) -> CoroPathReport:
-    """Exhaustively check length-|E| path existence on n = r+1 vertices:
-    ``_coro_path`` on every labeled edge subset of size 1..r-1."""
-    if not 3 <= r <= 6:
-        raise SweepConfigError(f"coro_path_check supports r in 3..6, got {r}")
-    report = CoroPathReport(r=r)
-    for a in instances(SweepConfig(n=r + 1, r=r, mode="exhaustive")):
-        if not 1 <= a.m < r:
-            continue
-        report.instances += 1
-        starts, pairs, uncovered = _coro_path(a)
-        text = serialize_hypergraph(a.hg) if starts or pairs or uncovered else ""
-        report.start_failures.extend({"hg": text, "vertex": v, "detail": d} for v, d in starts)
-        report.e1_discrepancy.extend({"hg": text, "vertex": v} for v in uncovered)
-        report.pair_failures.extend({"hg": text, "pair": [u, w]} for u, w in pairs)
-    return report

@@ -363,9 +363,13 @@ def test_campaign_stages_are_hg_commands():
     parsed = [cli.build_parser().parse_args(argv) for _, argv in campaign.stages(out, 3, 200)]
     sweeps = [args for args in parsed if args.fn is cli.cmd_verify]
     names = [f"sweep_{n}_{r}_exhaustive" for n, r in ((3, 3), (4, 3), (5, 3), (4, 4), (5, 4))]
-    assert [args.out for args in sweeps] == [str(out / f"{name}.json") for name in names] + [
-        str(out / "sweep_6_3_sample.json")
-    ]
+    names.append("sweep_6_3_sample")
+    names += [f"sweep_{r + 1}_{r}_coro_path" for r in range(3, 7)]
+    assert [args.out for args in sweeps] == [str(out / f"{name}.json") for name in names]
     assert all(args.workers == 3 for args in sweeps)
-    assert [args.sample for args in sweeps] == [None] * 5 + [200]
+    assert [args.sample for args in sweeps] == [None] * 5 + [200] + [None] * 4
+    # the (r+1)-vertex path claim, exhaustive, with that check alone
+    coro = sweeps[6:]
+    assert [(args.n, args.r) for args in coro] == [(r + 1, r) for r in range(3, 7)]
+    assert all(args.exhaustive and args.checks == "coro_path" for args in coro)
     assert {args.command for args in parsed} == {"verify", "turan", "gapcheck"}

@@ -261,9 +261,9 @@ def test_oracle_and_search_refuse_the_same_out_of_range_edge():
 
 def test_fixed_endpoint_paths_match_brute_force():
     """On every n = r+1 instance with 1 <= |E| < r, r = 3..6, the start
-    failures, uncovered single-edge starts and unjoined pairs of the
-    (r+1)-vertex path claim equal those read from the oracle's vertex
-    assignment over every order of the edges, with the terminals fixed."""
+    and pair failures of the (r+1)-vertex path claim, by vertex, equal
+    those read from the oracle's vertex assignment over every order of
+    the edges, with the terminals fixed."""
     checked = 0
     for r in range(3, 7):
         for hg in every_instance(r + 1, r):
@@ -276,19 +276,21 @@ def test_fixed_endpoint_paths_match_brute_force():
             def joined(u, w):
                 return any(_assignable(edge_verts, seq, u, w) for seq in seqs)
 
-            starts, uncovered = [], []
+            failures = []
             for v in range(hg.n):
                 expected = m >= 2 or v in edge_verts[0]
                 got = joined(v, None)
                 if got != expected:
-                    detail = f"length-{m} path starting at v{v}: expected {expected}, got {got}"
-                    starts.append((v, detail))
-                elif not expected:
-                    uncovered.append(v)
-            pairs = []
-            if r >= 4 and m >= 2:
-                pairs = [p for p in itertools.combinations(range(hg.n), 2) if not joined(*p)]
-            assert verify._coro_path(analyze(hg)) == (starts, pairs, uncovered), hg
+                    failures.append(
+                        f"length-{m} path starting at v{v}: expected {expected}, got {got}"
+                    )
+                if r >= 4 and m >= 2:
+                    failures += [
+                        f"no length-{m} path joins v{v} and v{w}"
+                        for w in range(v + 1, hg.n)
+                        if not joined(v, w)
+                    ]
+            assert verify._coro_path(analyze(hg)) == failures, hg
             checked += 1
     assert checked == 10 + 25 + 56 + 119
 
@@ -768,10 +770,7 @@ def reference_check_instance(a, checks):
             failures.append(("spanning_cycle", detail))
 
     if "coro_path" in checks:
-        starts, pairs, _ = verify._coro_path(a)
-        failures.extend(("coro_path", detail) for _, detail in starts)
-        m = hg.num_edges
-        failures.extend(("coro_path", f"no length-{m} path joins v{u} and v{w}") for u, w in pairs)
+        failures.extend(("coro_path", detail) for detail in verify._coro_path(a))
 
     return cls, failures
 

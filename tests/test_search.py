@@ -125,6 +125,31 @@ class TestValidatePath:
         validate_path(CHAIN2, BergePath((0, 2, 3), (0, 1)))
         _validate_seq(analyze(CHAIN2), [1], [])
 
+    def test_a_pool_instance_is_read_by_rank(self):
+        # slots 1 and 2 of the (5,3) pool, {0, 1, 3} and {0, 2, 3}, are
+        # the instance's edges of rank 0 and 1
+        a = Analysis(K53, 0b110)
+        validate_path(a, BergePath((1, 3, 2), (0, 1)))
+        validate_cycle(a, BergeCycle((0, 3), (0, 1)))
+        with pytest.raises(SearchError, match="^edge 1 does not contain both 1 and 3$"):
+            validate_path(a, BergePath((1, 3, 2), (1, 2)))
+        with pytest.raises(SearchError, match="^edge index 2 out of range$"):
+            validate_cycle(a, BergeCycle((0, 3), (1, 2)))
+
+    def test_pool_instances_pass_their_own_witnesses(self):
+        # a witness names its edges by rank, which the validators read
+        paths = cycles = 0
+        for a in instances(SweepConfig(n=5, r=3, mode="exhaustive")):
+            if a.m == 0:
+                continue
+            validate_path(a, longest_berge_path(a)[1])
+            paths += 1
+            cycle = find_berge_cycle(a, a.k + 1)
+            if cycle is not None:
+                validate_cycle(a, cycle)
+                cycles += 1
+        assert (paths, cycles) == (1023, 613)
+
     # K43: e0 = {0, 1, 2}, e1 = {0, 1, 3}, e2 = {0, 2, 3}, e3 = {1, 2, 3}
     @pytest.mark.parametrize(
         "vertices, edges, message",
@@ -450,7 +475,7 @@ def test_endpoint_rule_edges_have_a_rotated_witness(monkeypatch):
             if not segments:
                 continue
             vs, es = path_of(a.slots, path, segments)
-            validate_path(a, BergePath(tuple(vs), tuple(es)))
+            _validate_seq(a, vs, es)
             for vs, es in ((vs, es), (vs[::-1], es[::-1])):
                 for e in bits(a.incidence[vs[0]] & ~on_paths):
                     js = [j for j in range(1, k + 1) if a.slots[e] >> vs[j] & 1]
@@ -460,7 +485,7 @@ def test_endpoint_rule_edges_have_a_rotated_witness(monkeypatch):
                             tuple(vs[j - 1 :: -1] + vs[j:]),
                             tuple(es[: j - 1][::-1] + [e] + es[j:]),
                         )
-                        validate_path(a, witness)
+                        _validate_seq(a, witness.vertices, witness.edges)
                         assert witness.length == k and e in witness.edges
                         assert pvals[a.ranks((e,))[0]] == k
                         rotated += 1

@@ -21,7 +21,6 @@ from bergepaths.verify import (
     MAX_WORKERS,
     SweepConfig,
     SweepConfigError,
-    coro_path_check,
     index_count,
     instances,
     report_to_dict,
@@ -214,38 +213,51 @@ class TestReportIO:
         assert d["violations"][0]["hg"].startswith("4 3")
 
 
+def coro_path_sweep(r):
+    return run_sweep(SweepConfig(n=r + 1, r=r, mode="exhaustive", checks=("coro_path",)))
+
+
+def uncovered_single_edge_starts(r):
+    """The starts with no length-1 walk on the single-edge (r+1, r)
+    instances, each asserted to be the one vertex off the edge: where the
+    path claim, read literally, fails and the ``coro_path`` check does
+    not look."""
+    uncovered = []
+    for a in instances(SweepConfig(n=r + 1, r=r, mode="exhaustive")):
+        if a.m == 1:
+            starts = [v for v in range(a.n) if next(verify._walk(a, v, 1), None) is None]
+            assert starts == [*bits((1 << a.n) - 1 & ~a.hg.edges[0])], a.hg
+            uncovered += starts
+    return uncovered
+
+
 class TestCoroPath:
     def test_r3_corrected_claim_holds(self):
-        rep = coro_path_check(3)
-        # subsets of size 1 or 2 from the 4 possible triples on 4 vertices
-        assert rep.instances == comb(4, 1) + comb(4, 2)
-        assert rep.passed
-        assert not rep.start_failures
+        rep = coro_path_sweep(3)
+        # every subset of the 4 possible triples on 4 vertices; the claim
+        # itself reads those of size 1 or 2 and passes the rest vacuously
+        assert rep.instances == 2**4
+        assert rep.violations == []
 
     def test_r3_single_edge_discrepancy_reported(self):
-        rep = coro_path_check(3)
         # each single-edge instance leaves exactly one vertex uncovered
-        assert len(rep.e1_discrepancy) == 4
+        assert len(uncovered_single_edge_starts(3)) == 4
 
     def test_r4_with_pair_statement(self):
-        rep = coro_path_check(4)
-        assert rep.passed
-        assert not rep.pair_failures
-        assert len(rep.e1_discrepancy) == 5
+        assert coro_path_sweep(4).violations == []
+        assert len(uncovered_single_edge_starts(4)) == 5
 
     @pytest.mark.parametrize("r, count, uncovered", [(5, 56, 6), (6, 119, 7)])
     def test_r5_and_r6(self, r, count, uncovered):
-        rep = coro_path_check(r)
-        # subsets of size 1..r-1 of the r+1 possible r-sets on r+1 vertices
-        assert rep.instances == count == sum(comb(r + 1, m) for m in range(1, r))
-        assert rep.passed
-        assert len(rep.e1_discrepancy) == uncovered
+        rep = coro_path_sweep(r)
+        assert rep.instances == 2 ** (r + 1)
+        assert rep.violations == []
+        # the claim reads the subsets of size 1..r-1 of the r+1 possible r-sets
+        read = [a for a in instances(rep.config) if 1 <= a.m < r]
+        assert len(read) == count == sum(comb(r + 1, m) for m in range(1, r))
+        assert len(uncovered_single_edge_starts(r)) == uncovered
 
-    def test_r_out_of_range(self):
-        with pytest.raises(SweepConfigError):
-            coro_path_check(7)
-
-    def test_start_failure_reaches_both_callers(self, monkeypatch):
+    def test_start_failure_reaches_the_report(self, monkeypatch):
         text = "4 3\n0 1 2\n0 1 3\n"
         real = verify._walk
 
@@ -254,12 +266,11 @@ class TestCoroPath:
             return iter(()) if lie else real(a, start, length)
 
         monkeypatch.setattr(verify, "_walk", no_paths_from_v3)
-        rep = run_sweep(SweepConfig(n=4, r=3, mode="exhaustive", checks=("coro_path",)))
         detail = "length-2 path starting at v3: expected True, got False"
-        assert [(v.hg, v.check, v.detail) for v in rep.violations] == [(text, "coro_path", detail)]
-        assert coro_path_check(3).start_failures == [{"hg": text, "vertex": 3, "detail": detail}]
+        violations = coro_path_sweep(3).violations
+        assert [(v.hg, v.check, v.detail) for v in violations] == [(text, "coro_path", detail)]
 
-    def test_pair_failure_reaches_both_callers(self, monkeypatch):
+    def test_pair_failure_reaches_the_report(self, monkeypatch):
         text = "5 4\n0 1 2 3\n0 1 2 4\n"
         real = verify._walk
 
@@ -270,10 +281,9 @@ class TestCoroPath:
             return ((vs, es) for vs, es in paths if {vs[0], vs[-1]} != {0, 4})
 
         monkeypatch.setattr(verify, "_walk", no_path_joins_v0_v4)
-        rep = run_sweep(SweepConfig(n=5, r=4, mode="exhaustive", checks=("coro_path",)))
         detail = "no length-2 path joins v0 and v4"
-        assert [(v.hg, v.check, v.detail) for v in rep.violations] == [(text, "coro_path", detail)]
-        assert coro_path_check(4).pair_failures == [{"hg": text, "pair": [0, 4]}]
+        violations = coro_path_sweep(4).violations
+        assert [(v.hg, v.check, v.detail) for v in violations] == [(text, "coro_path", detail)]
 
 
 def test_report_json_is_parseable_and_sorted(tmp_path):
