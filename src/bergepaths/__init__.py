@@ -13,12 +13,10 @@ from .hypergraph import (
 )
 from .search import (
     Analysis,
-    BergeCycle,
     BergePath,
     PathQuery,
     SearchError,
     analyze,
-    find_berge_cycle,
     longest_berge_path,
     longest_path_length,
     p_edge,

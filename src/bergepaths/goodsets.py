@@ -43,15 +43,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .hypergraph import Hypergraph, bits, mask_of
+from .hypergraph import Hypergraph, bits
 from .search import (
     Analysis,
     BergePath,
     SearchError,
+    _cycle_mask,
     _validate_seq,
     _walk,
     analyze,
-    find_berge_cycle,
 )
 from .weights import _f_parts
 
@@ -248,7 +248,7 @@ def find_good_set(hg: Hypergraph | Analysis) -> GoodSetCertificate:
     if not a.connected:
         raise GoodSetError("find_good_set expects a connected hypergraph; split into components first")
     whole = (1 << a.n) - 1
-    if a.k == 1 or find_berge_cycle(a, a.k + 1) is not None:
+    if a.k == 1 or _cycle_mask(a, a.k + 1):
         cert = is_good_set(a, whole)
         assert cert is not None, "a lone edge or a spanning (k+1)-cycle makes V(H) good"
         return cert
@@ -290,11 +290,11 @@ def check_spanning_cycle_property(hg: Hypergraph | Analysis) -> str | None:
     a = analyze(hg)
     if not a.connected:
         raise GoodSetError("spanning-cycle property applies to connected hypergraphs")
-    cycle = find_berge_cycle(a, a.k + 1) if a.k else None
-    if cycle is None:
+    cycle = _cycle_mask(a, a.k + 1) if a.k else 0
+    if not cycle:
         return None
-    spans = mask_of(cycle.vertices) == (1 << a.n) - 1
+    spans = cycle == (1 << a.n) - 1
     all_max = a.max_p_mask == a.present
     if spans and all_max:
         return None
-    return f"cycle {cycle.vertices} spans={spans} all_p_equal_k={all_max}"
+    return f"cycle {tuple(bits(cycle))} spans={spans} all_p_equal_k={all_max}"

@@ -12,12 +12,13 @@ an edge index is a slot index, so a sweep instance is a mask over one pool
 of all C(n, r) slots. ``Analysis(hg)`` is the pool of ``hg``'s own edges,
 all present, where a slot index is the rank index, the edge index of
 ``hg``. Results leave in rank order (``Analysis.ranks``), an index passed
-in is mapped to its slot (``_slot``), and the public validators read ranks.
+in is mapped to its slot (``_slot``), and ``validate_path`` reads ranks.
 
-Three depth-first searches do all the work. ``_max_len`` maximizes over
-(endpoint, used-vertex mask, used-edge mask) states for k, the p-table
-over a cover of longest paths (``Analysis._p_table``), ``p_edge``, every
-``longest_path_length`` query and ``turan_exact``'s existence queries.
+Three depth-first searches answer the checks; a fourth picks a printed
+witness. ``_max_len`` maximizes over (endpoint, used-vertex mask,
+used-edge mask) states for k, the p-table over a cover of longest paths
+(``Analysis._p_table``), ``p_edge``, every ``longest_path_length``
+query and ``turan_exact``'s existence queries.
 
 ``_walk`` lazily yields the paths of an exact length from one start
 vertex, in the same order, but only the first path of each group that
@@ -28,12 +29,12 @@ two searches: a merged kernel would branch on its caller, and the walk
 must stay lazy, since a (6,3) instance can have tens of thousands of
 longest paths.
 
-``_least_seq`` finds the lexicographically least witness without
-walking every path: it tries vertex sequences in order and keeps a
-prefix only while its consecutive pairs can take distinct edges, a
-bipartite matching (``_matchable``). It gives ``longest_berge_path`` and
-the cycles of ``find_berge_cycle``, among them the (k+1)-cycles behind
-good sets.
+``_cycle_mask`` finds a cycle of an exact length, the (k+1)-cycle
+behind a good set, pinned at its least vertex, and returns its vertex
+mask. ``_least_seq`` gives ``longest_berge_path`` its lexicographically
+least witness: it tries vertex sequences in order and keeps a prefix
+only while its consecutive pairs can take distinct edges, a bipartite
+matching (``_matchable``).
 """
 
 from __future__ import annotations
@@ -51,16 +52,6 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class BergePath:
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class BergeCycle:
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
 
@@ -123,11 +114,6 @@ def _validate_seq(a: Analysis, vs, es) -> tuple[int, int]:
     if fault is not None or emask & ~a.present:
         raise SearchError(fault or f"edge index {next(bits(emask & ~a.present))} out of range")
     return vmask, emask
-
-
-def validate_cycle(hg: Hypergraph | Analysis, cycle: BergeCycle) -> None:
-    """Refuse ``cycle`` unless it is a Berge cycle of ``hg``, its edges by rank."""
-    _validate_cycle(_by_rank(hg), cycle.vertices, cycle.edges)
 
 
 def _validate_cycle(a: Analysis, vs, es) -> None:
@@ -431,31 +417,26 @@ def _matchable(cands: list[int], taken: int) -> bool:
     return True
 
 
-def _least_seq(
-    a: Analysis, length: int, cycle: bool
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+def _least_seq(a: Analysis, length: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The lexicographically least (vertex sequence, edge sequence) of a
-    Berge path with ``length`` edges, or of a Berge cycle of ``length``
-    when ``cycle`` is set; None when there is none.
+    Berge path with ``length`` edges, where one exists.
 
     Vertex sequences are tried in lexicographic order, and a prefix
     survives only while its consecutive pairs can take distinct edges
     (Hall's condition, checked by ``_matchable``), so the first complete
     sequence is the least. Each pair then takes its least edge that
-    leaves the later pairs matchable. A least cycle starts at its minimum
-    vertex, so the other vertices of a cycle exceed the first.
+    leaves the later pairs matchable.
     """
     n = a.n
     inc = a.incidence
     seq: list[int] = []
     cands: list[int] = []  # cands[j]: the edges holding seq[j] and seq[j + 1]
-    open_pairs = length - 1 if cycle else length
 
     def extend() -> bool:
         v = seq[-1]
-        if len(cands) == open_pairs:
-            return not cycle or _matchable(cands + [inc[v] & inc[seq[0]]], 0)
-        for u in range(seq[0] + 1 if cycle else 0, n):
+        if len(cands) == length:
+            return True
+        for u in range(n):
             c = inc[v] & inc[u]
             if not c or u in seq:
                 continue
@@ -472,10 +453,6 @@ def _least_seq(
         seq[:] = [s]
         if extend():
             break
-    else:
-        return None
-    if cycle:
-        cands.append(inc[seq[-1]] & inc[seq[0]])
     es, taken = [], 0
     for j, c in enumerate(cands):
         i = next(i for i in bits(c & ~taken) if _matchable(cands[j + 1 :], taken | 1 << i))
@@ -494,27 +471,50 @@ def longest_berge_path(hg: Hypergraph | Analysis) -> tuple[int, BergePath]:
     a = analyze(hg)
     if a.n == 0:
         raise SearchError("hypergraph has no vertices, hence no paths")
-    vs, es = _least_seq(a, a.k, cycle=False)
+    vs, es = _least_seq(a, a.k)
     if __debug__:
         _validate_seq(a, vs, es)
     return a.k, BergePath(vs, a.ranks(es))
 
 
-def find_berge_cycle(hg: Hypergraph | Analysis, length: int) -> BergeCycle | None:
-    """A Berge cycle of exactly ``length``, or None.
+def _cycle_mask(a: Analysis, length: int) -> int:
+    """The vertex mask of a Berge cycle of exactly ``length`` >= 2 edges,
+    or 0. Pinned at the cycle's least vertex s, it marks the vertices
+    below s used, grows paths of ``length - 1`` edges from s, and accepts
+    one when an unused edge holds its far end and s. The cycle fills
+    reused lists, as in ``_walk``, and is validated under ``__debug__``."""
+    n = a.n
+    if length > min(a.m, n):
+        return 0
+    inc, edges = a.incidence, a.slots
+    last = length - 1
+    path_v = [0] * length
+    path_e = [0] * length
 
-    Witness selection matches longest_berge_path: lexicographically least
-    (vertex sequence, edge sequence) over all rotations and reflections.
-    """
-    if length < 2:
-        raise SearchError(f"cycle length {length} < 2")
-    a = analyze(hg)
-    if length > a.m or length > a.n:
-        return None
-    best = _least_seq(a, length, cycle=True)
-    if best is None:
-        return None
-    if __debug__:
-        _validate_cycle(a, *best)
-    return BergeCycle(best[0], a.ranks(best[1]))
+    def extend(v: int, used_v: int, used_e: int, depth: int) -> int:
+        if depth == last:
+            close = inc[v] & inc[path_v[0]] & ~used_e
+            path_e[last] = (close & -close).bit_length() - 1
+            return used_v if close else 0
+        free = inc[v] & ~used_e
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
+            nxt_v = edges[i] & ~used_v
+            while nxt_v:
+                b = nxt_v & -nxt_v
+                nxt_v ^= b
+                path_e[depth] = i
+                path_v[depth + 1] = u = b.bit_length() - 1
+                if found := extend(u, used_v | b, used_e | low, depth + 1):
+                    return found
+        return 0
 
+    for s in range(n - length + 1):
+        path_v[0] = s
+        if found := extend(s, (2 << s) - 1, 0, 0):
+            if __debug__:
+                _validate_cycle(a, path_v, path_e)
+            return found >> s << s
+    return 0

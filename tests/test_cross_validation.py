@@ -14,20 +14,20 @@ from bergepaths.hypergraph import (
     Hypergraph,
     bits,
     hypergraph_from_subset,
+    mask_of,
     possible_edges,
 )
 from bergepaths.search import (
     BergePath,
     PathQuery,
     SearchError,
+    _cycle_mask,
     _max_len,
     _walk,
     analyze,
-    find_berge_cycle,
     longest_berge_path,
     longest_path_length,
     p_edge,
-    validate_cycle,
     validate_path,
 )
 from bergepaths.verify import SweepConfig, _check_instance, instances
@@ -435,15 +435,19 @@ def brute_force_cycle_exists(hg, length):
 
 
 def test_cycle_kernel_matches_brute_force_exhaustively():
-    for hg in every_instance(5, 3):
-        if hg.num_edges > 4:
-            continue
-        for length in range(2, hg.num_edges + 1):
-            expected = brute_force_cycle_exists(hg, length)
-            witness = find_berge_cycle(hg, length)
-            assert (witness is not None) == expected, (hg, length)
-            if witness is not None:
-                validate_cycle(hg, witness)
+    """At every length on the (5,3) instances with at most 4 edges, and at
+    k + 1 on every 29th (6,4) instance, the kernel finds a cycle exactly
+    when the brute force does, on as many vertices as the cycle has edges."""
+    cases = [(hg, length) for hg in every_instance(5, 3) if hg.num_edges <= 4
+             for length in range(2, hg.num_edges + 1)]
+    for hg in itertools.islice(every_instance(6, 4), None, None, 29):
+        k = longest_path_length(hg)
+        cases += [(hg, k + 1)] if k else []
+    assert len(cases) == 915 + 1129  # the (5,3) pairs, the (6,4) instances with an edge
+    for hg, length in cases:
+        mask = _cycle_mask(analyze(hg), length)
+        assert (mask != 0) == brute_force_cycle_exists(hg, length), (hg, length)
+        assert mask.bit_count() in (0, length), (hg, length)
 
 
 def brute_force_least_sequence(hg, num_vertices, length):
@@ -462,14 +466,20 @@ def brute_force_least_sequence(hg, num_vertices, length):
     return None
 
 
-def test_cycle_witness_is_the_least_over_all_sequences():
+def test_cycle_kernel_matches_the_sequence_brute_force():
+    """The kernel finds a cycle exactly when the vertex-sequence brute
+    force does, at every length, and it spans V(H) exactly when that one
+    does."""
     cases = [(4, 3, 1), (5, 4, 1), (5, 3, 3)]
     for n, r, stride in cases:
         for hg in itertools.islice(every_instance(n, r), None, None, stride):
             for length in range(2, n + 1):
-                witness = find_berge_cycle(hg, length)
-                got = None if witness is None else (witness.vertices, witness.edges)
-                assert got == brute_force_least_sequence(hg, length, length), (hg, length)
+                mask = _cycle_mask(analyze(hg), length)
+                expected = brute_force_least_sequence(hg, length, length)
+                assert (mask != 0) == (expected is not None), (hg, length)
+                if expected is not None:
+                    spans = mask == hg.vertex_mask
+                    assert spans == (mask_of(expected[0]) == hg.vertex_mask), (hg, length)
 
 
 def test_path_witness_is_the_least_over_all_sequences():
@@ -613,7 +623,7 @@ def reference_find_good_set(a, closures):
     """``find_good_set`` with its rotation route read from ``closures``, a
     list of (terminals, lhs) for every longest path in walk order: the
     first good terminal set, else V(H)."""
-    if a.k == 1 or find_berge_cycle(a, a.k + 1) is not None:
+    if a.k == 1 or _cycle_mask(a, a.k + 1):
         return goodsets.is_good_set(a, a.hg.vertex_mask)
     certs = filter(None, (goodsets.is_good_set(a, tau) for tau, _ in closures))
     return next(certs, None) or goodsets.is_good_set(a, a.hg.vertex_mask)
@@ -637,7 +647,7 @@ def test_closing_one_path_per_last_edge_group_loses_nothing():
         assert check_rotation_bound(a) == detail, hg
         if a.connected and hg.num_edges:
             assert goodsets.find_good_set(a) == reference_find_good_set(a, closures), hg
-            routed += a.k > 1 and find_berge_cycle(a, a.k + 1) is None
+            routed += a.k > 1 and not _cycle_mask(a, a.k + 1)
     assert routed > 300  # the rotation route really ran
 
 

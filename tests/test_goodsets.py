@@ -21,12 +21,11 @@ from bergepaths.hypergraph import (
     serialize_hypergraph,
 )
 from bergepaths.search import (
-    BergeCycle,
     BergePath,
     SearchError,
+    _cycle_mask,
     _walk,
     analyze,
-    find_berge_cycle,
     longest_path_length,
 )
 from bergepaths.verify import SweepConfig, _check_instance, instances
@@ -138,11 +137,11 @@ class TestFindGoodSet:
 
 class TestSpanningCycle:
     def test_complete_k43(self):
-        assert find_berge_cycle(K43, 4) is not None
+        assert _cycle_mask(analyze(K43), 4) == 0b1111
         assert check_spanning_cycle_property(K43) is None
 
     def test_chain_vacuous(self):
-        assert find_berge_cycle(CHAIN2, 3) is None
+        assert _cycle_mask(analyze(CHAIN2), 3) == 0
         assert check_spanning_cycle_property(CHAIN2) is None
 
     def test_complete_k53(self):
@@ -399,7 +398,7 @@ def test_structural_failure_details_are_pinned(monkeypatch):
     V(H) is not good, or where k > r and n != k + 1."""
     chain3 = hg(7, 3, [0, 1, 2], [2, 3, 4], [4, 5, 6])  # k = 3 = r
     no_route = lambda a: iter(())
-    broken_cycle = lambda a, length: BergeCycle((0, 1, 2), (0, 1, 2))
+    broken_cycle = lambda a, length: 0b111
     not_whole = "no good set: V(H) is not good and no rotation terminal set is"
     past_r = "k=5 > r, n != k+1, and no rotation terminal set is good"
     assert analyze(SHORT_EDGE).max_p_mask != (1 << SHORT_EDGE.num_edges) - 1
@@ -410,7 +409,7 @@ def test_structural_failure_details_are_pinned(monkeypatch):
         ("good_set_existence", "_good_terminal_sets", no_route, K53, None),  # k = 4, n = k + 1
         (
             "spanning_cycle",
-            "find_berge_cycle",
+            "_cycle_mask",
             broken_cycle,
             K43,
             "cycle (0, 1, 2) spans=False all_p_equal_k=True",

@@ -15,18 +15,17 @@ from bergepaths.hypergraph import (
 from bergepaths import search as search_module
 from bergepaths.search import (
     Analysis,
-    BergeCycle,
     BergePath,
     PathQuery,
     SearchError,
+    _cycle_mask,
+    _validate_cycle,
     _validate_seq,
     analyze,
-    find_berge_cycle,
     longest_berge_path,
     longest_path_length,
     p_edge,
     render_path,
-    validate_cycle,
     validate_path,
 )
 from bergepaths.verify import SweepConfig, instances
@@ -130,24 +129,19 @@ class TestValidatePath:
         # the instance's edges of rank 0 and 1
         a = Analysis(K53, 0b110)
         validate_path(a, BergePath((1, 3, 2), (0, 1)))
-        validate_cycle(a, BergeCycle((0, 3), (0, 1)))
         with pytest.raises(SearchError, match="^edge 1 does not contain both 1 and 3$"):
             validate_path(a, BergePath((1, 3, 2), (1, 2)))
-        with pytest.raises(SearchError, match="^edge index 2 out of range$"):
-            validate_cycle(a, BergeCycle((0, 3), (1, 2)))
 
     def test_pool_instances_pass_their_own_witnesses(self):
-        # a witness names its edges by rank, which the validators read
+        # a path witness names its edges by rank, which validate_path reads;
+        # the cycle kernel validates its slot-indexed cycle under __debug__
         paths = cycles = 0
         for a in instances(SweepConfig(n=5, r=3, mode="exhaustive")):
             if a.m == 0:
                 continue
             validate_path(a, longest_berge_path(a)[1])
             paths += 1
-            cycle = find_berge_cycle(a, a.k + 1)
-            if cycle is not None:
-                validate_cycle(a, cycle)
-                cycles += 1
+            cycles += _cycle_mask(a, a.k + 1) != 0
         assert (paths, cycles) == (1023, 613)
 
     # K43: e0 = {0, 1, 2}, e1 = {0, 1, 3}, e2 = {0, 2, 3}, e3 = {1, 2, 3}
@@ -169,12 +163,12 @@ class TestValidatePath:
     )
     def test_each_cycle_error_message(self, vertices, edges, message):
         with pytest.raises(SearchError) as err:
-            validate_cycle(K43, BergeCycle(vertices, edges))
+            _validate_cycle(analyze(K43), vertices, edges)
         assert str(err.value) == message
 
     def test_valid_cycles_pass(self):
-        validate_cycle(K43, BergeCycle((0, 1), (0, 1)))
-        validate_cycle(K43, BergeCycle((0, 1, 2, 3), (0, 3, 2, 1)))
+        _validate_cycle(analyze(K43), (0, 1), (0, 1))
+        _validate_cycle(analyze(K43), (0, 1, 2, 3), (0, 3, 2, 1))
 
     @pytest.mark.parametrize(
         "vertices, edges, message",
@@ -240,22 +234,14 @@ class TestPEdge:
 
 class TestCycles:
     def test_k43_has_spanning_cycle(self):
-        c = find_berge_cycle(K43, 4)
-        assert c is not None and len(c.edges) == 4
-        assert set(c.vertices) == {0, 1, 2, 3}
+        assert _cycle_mask(analyze(K43), 4) == 0b1111
 
     def test_chain_has_no_2cycle(self):
-        assert find_berge_cycle(CHAIN2, 2) is None
+        assert _cycle_mask(analyze(CHAIN2), 2) == 0
 
     def test_two_edges_sharing_two_vertices_form_2cycle(self):
         h = hg(4, 3, [0, 1, 2], [1, 2, 3])
-        c = find_berge_cycle(h, 2)
-        assert c is not None
-        assert c.vertices == (1, 2) and c.edges == (0, 1)
-
-    def test_length_below_two_rejected(self):
-        with pytest.raises(SearchError):
-            find_berge_cycle(K43, 1)
+        assert _cycle_mask(analyze(h), 2) == 0b0110
 
 
 class TestOracle:
