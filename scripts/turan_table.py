@@ -4,8 +4,9 @@
 Each cell is the maximum edge count of an n-vertex r-uniform hypergraph
 with no Berge path of length k, next to the n*f_r(k-1) bound. Exits 1 if
 a cell exceeds its bound or its witness is not a BP_k-free set of that
-many edges, and 2, with an ``error:`` line on stderr, if ``turan_exact``
-refuses a cell (r < 3, or more edge slots than it searches).
+many edges, and 2, with an ``error:`` line on stderr, if the grid has no
+cell (--nmax below r, or --kmax below 2) or ``turan_exact`` refuses a
+cell (r < 3, or more edge slots than it searches).
 """
 
 import argparse
@@ -21,6 +22,14 @@ def main(argv=None) -> int:
     parser.add_argument("--kmax", type=int, default=5)
     args = parser.parse_args(argv)
     r = args.r
+    if args.nmax < r or args.kmax < 2:
+        short = (
+            f"--nmax {args.nmax} is below r = {r}"
+            if args.nmax < r
+            else f"--kmax {args.kmax} is below k = 2"
+        )
+        print(f"error: {short}, so the grid has no cell", file=sys.stderr)
+        return 2
     print(f"r = {r}: exact ex_r(n, BP_k) / bound n*f_r(k-1)")
     header = "n\\k " + "".join(f"{k:>14}" for k in range(2, args.kmax + 1))
     print(header)

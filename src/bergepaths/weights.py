@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
+from itertools import combinations
 from math import comb, factorial
+from operator import and_, or_
 from typing import NamedTuple
 
 from .hypergraph import (
@@ -182,18 +185,38 @@ class TuranResult:
         return out
 
 
-def _first_of_each_type(slots: list[int], a: int, b: int, avail: int) -> int:
-    """The first slot in ``avail`` of each type (|e&A&B|, |e&A-B|, |e&B-A|),
-    as a slot mask. The vertex permutations that fix A and B setwise act
-    transitively on the slots of one type, so these are the least slots of
-    the orbits that meet ``avail``, when ``avail`` is a union of orbits."""
-    both, only_a, only_b = a & b, a & ~b, b & ~a
-    firsts = {}
-    for i in bits(avail):
-        e = slots[i]
-        kind = (e & both).bit_count(), (e & only_a).bit_count(), (e & only_b).bit_count()
-        firsts.setdefault(kind, i)
-    return sum(1 << i for i in firsts.values())
+def _cell_swaps(
+    slots: tuple[int, ...], inc: tuple[int, ...], a: int, b: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """Each swap (u w), u < w, of two vertices in one cell of A&B, A-B,
+    B-A and the rest, as its slot map and the mask of the slots it maps
+    to a lower index: those holding w but not u. ``inc[v]`` is the mask
+    of the slots holding vertex v."""
+    index = {e: i for i, e in enumerate(slots)}
+    swaps = []
+    for cell in (a & b, a & ~b, b & ~a, ((1 << len(inc)) - 1) & ~(a | b)):
+        for u, w in combinations(bits(cell), 2):
+            image, down = list(range(len(slots))), inc[w] & ~inc[u]
+            for i in bits(down):
+                j = index[slots[i] ^ (1 << u | 1 << w)]
+                image[i], image[j] = j, i
+            swaps.append((tuple(image), down))
+    return swaps
+
+
+def _least(chosen: int, swaps) -> bool:
+    """Whether no swap maps ``chosen`` to an earlier set, one holding the
+    first slot at which the two differ. Only a swap that maps a slot of
+    ``chosen`` lower can."""
+    for image, down in swaps:
+        if chosen & down:
+            img = 0
+            for i in bits(chosen):
+                img |= 1 << image[i]
+            d = img ^ chosen
+            if img & d & -d:
+                return False
+    return True
 
 
 def turan_exact(n: int, r: int, k: int) -> TuranResult:
@@ -218,16 +241,29 @@ def turan_exact(n: int, r: int, k: int) -> TuranResult:
     set holding slot 0 and c_t whose edges pairwise meet in at most t
     vertices.
 
-    With A = slot 0 and B = c_t, the permutations fixing A and B setwise
-    act transitively on the slots of one type (|e&A&B|, |e&A-B|, |e&B-A|),
-    and they keep a set free and its edges' pairwise meetings, so the
-    available slots are a union of orbits. Given such a set, map its extra
-    slot of least orbit minimum onto that minimum: every other extra slot
-    sits at or above its own orbit's minimum, so the image's least extra
-    slot is that minimum. The first pass therefore includes a slot as the
-    least extra edge only if it is the first available one of its type,
-    and grows the slots above it as before. A search that shows a set
-    free is kept, so neither pass searches that set twice.
+    With A = slot 0 and B = c_t, the vertex permutations fixing A and B
+    setwise form a group G that fixes both slots, permutes the others and
+    keeps a set free and its edges' pairwise meetings. So the first pass
+    needs only the least set S of extra slots in each orbit of G, where of
+    two sets the earlier is the one holding the first slot at which they
+    differ.
+    - Read's lemma: if S is least in its orbit, so is S less its largest
+      slot s. For if g maps S - s to an earlier set, their first
+      difference x is a slot of the image below s (else the image would
+      hold S - s and x), and g(S) first differs from S at x or at
+      g(s) < x, a slot of g(S) either way. ``grow`` adds slots in
+      increasing order, so it reaches every orbit's least set through
+      least, free, conflict-free prefixes, and may drop every set that
+      is not least.
+    - It tests a set only against the swaps of two vertices in one cell
+      of A&B, A-B, B-A and the rest (``_cell_swaps``). They lie in G, so
+      a set least under G passes ``_least``.
+    - A swap that maps no slot of S lower cannot map S to an earlier set.
+      A swap is its own inverse, so if the first difference x were the
+      image of a slot y of S, y < x, then y would be missing from the
+      image: a difference below x.
+    A search that shows a set free is kept, so neither pass searches that
+    set twice.
 
     The second pass recovers the witness of the plain search over every
     labelled subset: slots in order, including each before excluding it,
@@ -247,6 +283,7 @@ def turan_exact(n: int, r: int, k: int) -> TuranResult:
     m = len(slots)
     full = (1 << m) - 1
     pool = analyze(Hypergraph(n, r, slots))
+    inc = pool.incidence
     best_count = min(m, 1)  # one edge alone is free, as k >= 2
     best_subset = 0
     proved = set()  # sets a search has shown free, so neither pass repeats one
@@ -255,9 +292,9 @@ def turan_exact(n: int, r: int, k: int) -> TuranResult:
         # No path is longer than min(|chosen|, n - 1), so a shorter reach
         # is free with no search. Else chosen less its newest slot holds no
         # length-k path, so every length-k path of chosen uses that slot.
-        # The search still seeds from vertices, not from the slot: 709 of
-        # the 713 searches of the turan benchmark's round find a path, and
-        # seeded from the slot those take 3.4x as long in all; it is 2.5x
+        # The search still seeds from vertices, not from the slot: 261 of
+        # the 265 searches of the turan benchmark's round find a path, and
+        # seeded from the slot those take 3.0x as long in all; it is 2.5x
         # faster only on the 4 that refute one.
         if min(chosen.bit_count(), n - 1) < k or chosen in proved:
             return True
@@ -266,10 +303,18 @@ def turan_exact(n: int, r: int, k: int) -> TuranResult:
             return True
         return False
 
-    def grow(avail: int, chosen: int, count: int, conflicts: list[int], goal: int) -> bool:
-        # Visits the free supersets of chosen within avail, lowest slot
-        # first and included before excluded; conflicts[i] holds the slots
-        # that may not join slot i. True once a set of goal edges is found.
+    @cache
+    def conflicts(i: int, t: int) -> int:
+        # the slots meeting slot i in more than t vertices hold t + 1 of them
+        subsets = combinations(bits(slots[i]), t + 1)
+        return reduce(or_, (reduce(and_, map(inc.__getitem__, vs)) for vs in subsets), 0)
+
+    def grow(avail: int, chosen: int, count: int, t: int, goal: int, swaps) -> bool:
+        # Visits the free supersets of chosen within avail whose slots
+        # pairwise meet in at most t vertices (t = r bounds nothing) and
+        # that pass _least under swaps as each slot joins, lowest slot
+        # first and included before excluded. True once a set of goal
+        # edges is found.
         nonlocal best_count, best_subset
         if count > best_count:
             best_count = count
@@ -281,32 +326,21 @@ def turan_exact(n: int, r: int, k: int) -> TuranResult:
         low = avail & -avail
         rest = avail ^ low
         with_low = chosen | low
-        if free(with_low):
-            i = low.bit_length() - 1
-            if grow(rest & ~conflicts[i], with_low, count + 1, conflicts, goal):
+        if _least(with_low, swaps) and free(with_low):
+            above = rest & ~conflicts(low.bit_length() - 1, t)
+            if grow(above, with_low, count + 1, t, goal, swaps):
                 return True
-        return grow(rest, chosen, count, conflicts, goal)
+        return grow(rest, chosen, count, t, goal, swaps)
 
     for t in range(r - 1, -1, -1):
         c_t = next((i for i in range(m) if (slots[i] & slots[0]).bit_count() == t), None)
         if c_t is None or not free(pair := 1 | 1 << c_t):
             continue
-        conflicts = [
-            sum(1 << j for j in range(m) if (slots[i] & slots[j]).bit_count() > t)
-            for i in range(m)
-        ]
-        avail = full & ~pair & ~conflicts[0] & ~conflicts[c_t]
-        leaders = _first_of_each_type(slots, slots[0], slots[c_t], avail)
-        best_count = max(best_count, 2)
-        # grow's first level, but only an orbit's first slot is included
-        while avail and 2 + avail.bit_count() > best_count:
-            low = avail & -avail
-            avail ^= low
-            if low & leaders and free(pair | low):
-                grow(avail & ~conflicts[low.bit_length() - 1], pair | low, 3, conflicts, m)
+        avail = full & ~pair & ~conflicts(0, t) & ~conflicts(c_t, t)
+        grow(avail, pair, 2, t, m, _cell_swaps(slots, inc, slots[0], slots[c_t]))
     exact = best_count
     best_count = -1
-    grow(full, 0, 0, [0] * m, exact)
+    grow(full, 0, 0, r, exact, ())
     return TuranResult(
         n=n,
         r=r,

@@ -326,6 +326,18 @@ def test_turan_table_refuses_a_cell_with_exit_2(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--r", "5", "--nmax", "4"], "--nmax 4 is below r = 5, so the grid has no cell"),
+        (["--r", "3", "--kmax", "1"], "--kmax 1 is below k = 2, so the grid has no cell"),
+    ],
+)
+def test_turan_table_refuses_an_empty_grid_with_exit_2(argv, message, capsys):
+    assert load_script("turan_table").main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("r, nmax", [(3, 6), (4, 6), (5, 7)])
 def test_turan_table_matches_its_golden_file(r, nmax, capsys):
     assert load_script("turan_table").main(["--r", str(r), "--nmax", str(nmax), "--kmax", "6"]) == 0

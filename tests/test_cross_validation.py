@@ -4,6 +4,7 @@ the sweep's verdicts, on exhaustively enumerated or sampled small instances."""
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,11 +215,26 @@ def test_search_core_matches_the_reference_kernels():
     assert dropped > 400_000  # many groups hold more than one path
 
 
-# the cells of the turan benchmark workload, (6,3,5) and (7,5,6)
+# the nine cells of the turan benchmark workload, (6,3,5) and (7,5,6)
 TURAN_QUERY_CELLS = (
     (5, 3, 3), (5, 3, 4), (6, 3, 3), (6, 3, 4), (6, 4, 3),
     (6, 4, 4), (6, 4, 5), (7, 5, 4), (7, 5, 5), (6, 3, 5), (7, 5, 6),
 )
+
+
+def test_turan_benchmark_cells_make_265_searches(monkeypatch):
+    """The searches a turan benchmark round makes, pinned so that a change
+    to the pruning shows."""
+    calls = []
+
+    def counting(a, **query):
+        calls.append(query)
+        return _max_len(a, **query)
+
+    monkeypatch.setattr(weights, "_max_len", counting)
+    for cell in TURAN_QUERY_CELLS[:9]:
+        turan_exact(*cell)
+    assert len(calls) == 265
 
 
 def test_turan_existence_queries_match_the_reference_kernel(monkeypatch):
@@ -234,9 +250,9 @@ def test_turan_existence_queries_match_the_reference_kernel(monkeypatch):
     monkeypatch.setattr(weights, "_max_len", recording)
     for cell in TURAN_QUERY_CELLS:
         turan_exact(*cell)
-    # 3,440 searches: free answers the queries whose reach is below k itself,
+    # 1,282 searches: free answers the queries whose reach is below k itself,
     # and the sets a search has already shown free
-    assert len(calls) >= 3440
+    assert len(calls) >= 1282
     for a, query, got in calls:
         assert got == reference_max_len(a, **query), (a.hg.n, a.hg.r, query)
 
@@ -361,17 +377,20 @@ def turan_reference_cells():
     yield from ((2, 3, 2), (0, 3, 2))
 
 
-def test_turan_first_branches_are_the_orbit_minima():
+def test_turan_cell_swaps_pass_every_orbit_minimum():
     """At each level of turan_exact's first pass, with A = slot 0 and
-    B = c_t, the slots it includes first are the least available slot of
-    each orbit of the vertex permutations fixing A and B setwise, found
-    by trying all n! permutations. Value checks alone pass rules that
-    split orbits by |e&A|, or by (|e&A|, |e&B|), too coarsely."""
+    B = c_t, every cell swap is the slot map of a vertex permutation fixing
+    A and B setwise, its mask holds exactly the slots it maps lower, and
+    every available set of at most three extra slots that is the least of
+    its orbit under all n! such permutations passes _least. On single
+    slots _least is exactly the orbit-minimum rule. Value checks alone
+    pass rules that split orbits by |e&A|, or by (|e&A|, |e&B|), too
+    coarsely."""
 
     def image(e, perm):
         return sum(1 << perm[v] for v in bits(e))
 
-    levels = 0
+    levels = sets = 0
     for r in range(3, 8):
         for n in range(r, 8):
             slots = possible_edges(n, r)
@@ -379,24 +398,45 @@ def test_turan_first_branches_are_the_orbit_minima():
             if m > 30:
                 continue
             index = {e: i for i, e in enumerate(slots)}
+            inc = analyze(Hypergraph(n, r, slots)).incidence
             perms = list(itertools.permutations(range(n)))
             for t in range(r - 1, -1, -1):
                 c_t = next((i for i in range(m) if (slots[i] & slots[0]).bit_count() == t), None)
                 if c_t is None:
                     continue
                 a, b = slots[0], slots[c_t]
-                fixing = [p for p in perms if image(a, p) == a and image(b, p) == b]
+                maps = {
+                    tuple(index[image(e, p)] for e in slots)
+                    for p in perms
+                    if image(a, p) == a and image(b, p) == b
+                }
+                swaps = weights._cell_swaps(slots, inc, a, b)
+                cells = (a & b, a & ~b, b & ~a, ((1 << n) - 1) & ~(a | b))
+                assert len(swaps) == sum(comb(c.bit_count(), 2) for c in cells), (n, r, t)
+                for slot_map, down in swaps:
+                    assert slot_map in maps, (n, r, t)
+                    assert down == sum(1 << i for i, j in enumerate(slot_map) if j < i), (n, r, t)
                 conflicts = [
                     sum(1 << j for j, f in enumerate(slots) if (e & f).bit_count() > t)
                     for e in slots
                 ]
-                avail = ((1 << m) - 1) & ~(1 | 1 << c_t) & ~conflicts[0] & ~conflicts[c_t]
-                minima = {min(index[image(slots[i], p)] for p in fixing) for i in bits(avail)}
-                assert all(avail >> i & 1 for i in minima), (n, r, t)
-                got = weights._first_of_each_type(slots, a, b, avail)
-                assert set(bits(got)) == minima, (n, r, t)
+                pair = 1 | 1 << c_t
+                avail = ((1 << m) - 1) & ~pair & ~conflicts[0] & ~conflicts[c_t]
+
+                def least_in_orbit(chosen):
+                    return min(tuple(sorted(f[i] for i in chosen)) for f in maps) == chosen
+
+                for size in (1, 2, 3):
+                    for chosen in itertools.combinations(bits(avail), size):
+                        if least_in_orbit(chosen):
+                            assert weights._least(pair | mask_of(chosen), swaps), (n, r, t, chosen)
+                            sets += 1
+                minima = {min(f[i] for f in maps) for i in bits(avail)}
+                passing = {i for i in bits(avail) if weights._least(pair | 1 << i, swaps)}
+                assert passing == minima, (n, r, t)
                 levels += 1
     assert levels == 13
+    assert sets == 561
 
 
 def test_turan_exact_matches_the_reference():
