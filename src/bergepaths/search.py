@@ -14,7 +14,7 @@ all present, where a slot index is the rank index, the edge index of
 ``hg``. Results leave in rank order (``Analysis.ranks``), an index passed
 in is mapped to its slot (``_slot``), and ``validate_path`` reads ranks.
 
-Three depth-first searches answer the checks; a fourth picks a printed
+Three depth-first searches answer the checks and pick the printed
 witness. ``_max_len`` maximizes over (endpoint, used-vertex mask,
 used-edge mask) states for k, the p-table over a cover of longest paths
 (``Analysis._p_table``), ``p_edge``, every ``longest_path_length``
@@ -22,19 +22,17 @@ query and ``turan_exact``'s existence queries.
 
 ``_walk`` lazily yields the paths of an exact length from one start
 vertex, in the same order, but only the first path of each group that
-differs in its last edge alone. Its two callers never read that edge:
-the rotation closure of ``goodsets`` and the far ends that the
-(r+1)-vertex path claim of ``verify`` reads. Maximizing and walking stay
-two searches: a merged kernel would branch on its caller, and the walk
-must stay lazy, since a (6,3) instance can have tens of thousands of
-longest paths.
+differs in its last edge alone. The rotation closure of ``goodsets`` and
+the far ends that the (r+1)-vertex path claim of ``verify`` reads never
+use that edge, and ``longest_berge_path`` prints the first path it
+yields, the least read in the order v0 e1 v1 ... ek vk. Maximizing and
+walking stay two searches: a merged kernel would branch on its caller,
+and the walk must stay lazy, since a (6,3) instance can have tens of
+thousands of longest paths.
 
 ``_cycle_mask`` finds a cycle of an exact length, the (k+1)-cycle
 behind a good set, pinned at its least vertex, and returns its vertex
-mask. ``_least_seq`` gives ``longest_berge_path`` its lexicographically
-least witness: it tries vertex sequences in order and keeps a prefix
-only while its consecutive pairs can take distinct edges, a bipartite
-matching (``_matchable``).
+mask.
 """
 
 from __future__ import annotations
@@ -393,85 +391,19 @@ def _walk(a: Analysis, start: int, length: int) -> Iterator[tuple[list[int], lis
     return extend(start, 1 << start, 0, 0)
 
 
-def _matchable(cands: list[int], taken: int) -> bool:
-    """True when every edge mask in ``cands`` can give its own edge outside
-    ``taken`` (a system of distinct representatives), by Kuhn's
-    augmenting paths."""
-    owner: dict[int, int] = {}  # edge bit -> index of the mask holding it
-    seen = taken
-
-    def augment(j: int) -> bool:
-        nonlocal seen
-        while free := cands[j] & ~seen:
-            bit = free & -free
-            seen |= bit
-            if bit not in owner or augment(owner[bit]):
-                owner[bit] = j
-                return True
-        return False
-
-    for j in range(len(cands)):
-        seen = taken
-        if not augment(j):
-            return False
-    return True
-
-
-def _least_seq(a: Analysis, length: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The lexicographically least (vertex sequence, edge sequence) of a
-    Berge path with ``length`` edges, where one exists.
-
-    Vertex sequences are tried in lexicographic order, and a prefix
-    survives only while its consecutive pairs can take distinct edges
-    (Hall's condition, checked by ``_matchable``), so the first complete
-    sequence is the least. Each pair then takes its least edge that
-    leaves the later pairs matchable.
-    """
-    n = a.n
-    inc = a.incidence
-    seq: list[int] = []
-    cands: list[int] = []  # cands[j]: the edges holding seq[j] and seq[j + 1]
-
-    def extend() -> bool:
-        v = seq[-1]
-        if len(cands) == length:
-            return True
-        for u in range(n):
-            c = inc[v] & inc[u]
-            if not c or u in seq:
-                continue
-            cands.append(c)
-            if _matchable(cands, 0):
-                seq.append(u)
-                if extend():
-                    return True
-                seq.pop()
-            cands.pop()
-        return False
-
-    for s in range(n):
-        seq[:] = [s]
-        if extend():
-            break
-    es, taken = [], 0
-    for j, c in enumerate(cands):
-        i = next(i for i in bits(c & ~taken) if _matchable(cands[j + 1 :], taken | 1 << i))
-        taken |= 1 << i
-        es.append(i)
-    return tuple(seq), tuple(es)
-
-
 def longest_berge_path(hg: Hypergraph | Analysis) -> tuple[int, BergePath]:
     """Length of the longest Berge path plus one deterministic witness.
 
-    Among maximum-length paths the lexicographically least witness is
-    returned, ordered by vertex sequence then edge-index sequence.
-    Raises for a hypergraph with no vertices, which has no paths at all.
+    The witness is the first path of length k that ``_walk`` yields,
+    trying start vertices in increasing order: the least path read in its
+    own order v0 e1 v1 ... ek vk, as the walk tries each step's edges,
+    then each edge's new vertices, in increasing order. Raises for a
+    hypergraph with no vertices, which has no paths at all.
     """
     a = analyze(hg)
     if a.n == 0:
         raise SearchError("hypergraph has no vertices, hence no paths")
-    vs, es = _least_seq(a, a.k)
+    vs, es = map(tuple, next(p for s in range(a.n) for p in _walk(a, s, a.k)))
     if __debug__:
         _validate_seq(a, vs, es)
     return a.k, BergePath(vs, a.ranks(es))

@@ -222,7 +222,7 @@ TURAN_QUERY_CELLS = (
 )
 
 
-def test_turan_benchmark_cells_make_265_searches(monkeypatch):
+def test_turan_benchmark_cells_make_262_searches(monkeypatch):
     """The searches a turan benchmark round makes, pinned so that a change
     to the pruning shows."""
     calls = []
@@ -234,7 +234,7 @@ def test_turan_benchmark_cells_make_265_searches(monkeypatch):
     monkeypatch.setattr(weights, "_max_len", counting)
     for cell in TURAN_QUERY_CELLS[:9]:
         turan_exact(*cell)
-    assert len(calls) == 265
+    assert len(calls) == 262
 
 
 def test_turan_existence_queries_match_the_reference_kernel(monkeypatch):
@@ -250,11 +250,27 @@ def test_turan_existence_queries_match_the_reference_kernel(monkeypatch):
     monkeypatch.setattr(weights, "_max_len", recording)
     for cell in TURAN_QUERY_CELLS:
         turan_exact(*cell)
-    # 1,282 searches: free answers the queries whose reach is below k itself,
+    # 1,156 searches: free answers the queries whose reach is below k itself,
     # and the sets a search has already shown free
-    assert len(calls) >= 1282
+    assert len(calls) >= 1156
     for a, query, got in calls:
         assert got == reference_max_len(a, **query), (a.hg.n, a.hg.r, query)
+
+
+def test_a_set_covering_at_most_k_vertices_has_no_length_k_path():
+    """The bound by which turan_exact's free answers with no search: a path
+    of length k has k + 1 vertices, so edges covering at most k vertices
+    hold none, on every (5,3) instance and every k."""
+    checked = 0
+    for hg in every_instance(5, 3):
+        covered = 0
+        for e in hg.edges:
+            covered |= e
+        a = analyze(hg)
+        for k in range(max(covered.bit_count(), 1), hg.n + 1):
+            assert reference_max_len(a, stop_at=k)[0] < k, (hg, k)
+            checked += 1
+    assert checked == 1 * 5 + 10 * 3 + 55 * 2 + 958  # instances covering 0, 3, 4, 5 vertices
 
 
 def test_anchored_queries_match_oracle_exhaustively():
@@ -522,7 +538,21 @@ def test_cycle_kernel_matches_the_sequence_brute_force():
                     assert spans == (mask_of(expected[0]) == hg.vertex_mask), (hg, length)
 
 
-def test_path_witness_is_the_least_over_all_sequences():
+def brute_force_least_path(hg, length):
+    """Least (v0, e1, v1, ..., ek, vk) of a Berge path with ``length``
+    edges, over every vertex sequence and every edge choice, or None."""
+    best = None
+    for vs in itertools.permutations(range(hg.n), length + 1):
+        flanks = [(1 << vs[j]) | (1 << vs[j + 1]) for j in range(length)]
+        cands = [[i for i, e in enumerate(hg.edges) if e & f == f] for f in flanks]
+        for es in itertools.product(*cands):
+            if len(set(es)) == length:
+                seq = (vs[0], *itertools.chain.from_iterable(zip(es, vs[1:])))
+                best = seq if best is None else min(best, seq)
+    return best
+
+
+def test_path_witness_is_the_least_in_path_order():
     cases = [(4, 3, 1), (5, 4, 1), (5, 3, 3)]
     for n, r, stride in cases:
         for hg in itertools.islice(every_instance(n, r), None, None, stride):
@@ -533,9 +563,10 @@ def test_path_witness_is_the_least_over_all_sequences():
                 # n - 1, and the brute force below shows one that long
                 k = n - 1
             got_k, witness = longest_berge_path(hg)
-            expected = brute_force_least_sequence(hg, k + 1, k)
+            expected = brute_force_least_path(hg, k)
             assert expected is not None and got_k == k, hg
-            assert (witness.vertices, witness.edges) == expected, hg
+            order = zip(witness.edges, witness.vertices[1:])
+            assert (witness.vertices[0], *itertools.chain.from_iterable(order)) == expected, hg
 
 
 def small_instances():

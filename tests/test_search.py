@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -76,11 +77,29 @@ class TestLongestPath:
         with pytest.raises(SearchError):
             longest_berge_path(Hypergraph(0, 3, ()))
 
-    def test_witness_is_lexicographically_least(self):
-        k, w = longest_berge_path(K43)
-        # the least path is the first of its group, so the walk yields it
-        best = min((p.vertices, p.edges) for p in walked_paths(K43, k))
-        assert (w.vertices, w.edges) == best
+    def test_witness_is_least_in_path_order(self):
+        # read as v0 e1 v1 e2 v2, the least path takes e0 first; by vertex
+        # sequence first, v0 -e1- v1 -e0- v2 would come before it
+        h = hg(4, 3, [0, 1, 2], [0, 1, 3])
+        assert longest_berge_path(h) == (2, BergePath((0, 1, 3), (0, 1)))
+        # K_4^3: after v0 -e0- v1, the least unused edge, e1 = {0, 1, 3},
+        # has only v3 new; vertex order first would go on to v2
+        assert longest_berge_path(K43) == (3, BergePath((0, 1, 3, 2), (0, 1, 2)))
+
+    def test_witness_past_the_oracle_edge_cap(self):
+        # 16 random triples on 20 vertices, redrawn until connected: twice
+        # the edges the oracle takes, with a path through 15 of them
+        rng = random.Random(1)
+        while True:
+            edges = set()
+            while len(edges) < 16:
+                edges.add(tuple(sorted(rng.sample(range(20), 3))))
+            h = from_edge_lists(20, 3, sorted(edges))
+            if analyze(h).connected:
+                break
+        k, w = longest_berge_path(h)
+        assert k == 15
+        validate_path(h, w)
 
     def test_render(self):
         _, w = longest_berge_path(CHAIN2)
